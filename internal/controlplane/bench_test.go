@@ -1,10 +1,11 @@
-package controlplane
+package controlplane_test
 
 import (
 	"io"
 	"testing"
 
 	"github.com/nowproject/now/internal/sim"
+	"github.com/nowproject/now/internal/stack"
 )
 
 // BenchmarkSnapshotStream measures the observation overhead an operator
@@ -15,7 +16,7 @@ import (
 // how hard a dashboard can poll before it starts stealing simulation
 // throughput.
 func BenchmarkSnapshotStream(b *testing.B) {
-	st, err := NewStack(StackConfig{
+	st, err := stack.NewServed(stack.ServeConfig{
 		Seed:         1,
 		Workstations: 16,
 		XFSNodes:     8,
@@ -26,7 +27,7 @@ func BenchmarkSnapshotStream(b *testing.B) {
 		JobWork:      40 * sim.Second,
 	})
 	if err != nil {
-		b.Fatalf("NewStack: %v", err)
+		b.Fatalf("NewServed: %v", err)
 	}
 	defer st.Engine.Close()
 	if err := st.Engine.RunUntil(sim.Time(10 * sim.Minute)); err != nil {

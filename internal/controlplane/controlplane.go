@@ -381,6 +381,8 @@ func (cp *ControlPlane) Snapshot() []obs.Metric {
 
 // SpansSince returns spans started after id `after` (0 = all); the
 // incremental form a streaming consumer polls with the last id seen.
+// The result is a copy: a Server encodes it on an HTTP goroutine after
+// Do returns, while the engine keeps ending spans in registry storage.
 func (cp *ControlPlane) SpansSince(after obs.SpanID) []obs.Span {
-	return cp.cfg.Registry.SpansSince(after)
+	return append([]obs.Span(nil), cp.cfg.Registry.SpansSince(after)...)
 }

@@ -1,16 +1,17 @@
-package controlplane
+package controlplane_test
 
 import (
 	"testing"
 
 	"github.com/nowproject/now/internal/sim"
+	"github.com/nowproject/now/internal/stack"
 )
 
 // buildStack is the shared test fixture: a small NOW with storage and
 // a background job trickle, remediation armed per test.
-func buildStack(t *testing.T, remediate bool) *Stack {
+func buildStack(t *testing.T, remediate bool) *stack.Stack {
 	t.Helper()
-	st, err := NewStack(StackConfig{
+	st, err := stack.NewServed(stack.ServeConfig{
 		Seed:         1,
 		Workstations: 12,
 		XFSNodes:     8,
@@ -22,13 +23,13 @@ func buildStack(t *testing.T, remediate bool) *Stack {
 		RemediateOn:  remediate,
 	})
 	if err != nil {
-		t.Fatalf("NewStack: %v", err)
+		t.Fatalf("NewServed: %v", err)
 	}
 	t.Cleanup(st.Engine.Close)
 	return st
 }
 
-func runTo(t *testing.T, st *Stack, at sim.Time) {
+func runTo(t *testing.T, st *stack.Stack, at sim.Time) {
 	t.Helper()
 	if err := st.Engine.RunUntil(at); err != nil {
 		t.Fatalf("RunUntil(%s): %v", at, err)
@@ -36,7 +37,7 @@ func runTo(t *testing.T, st *Stack, at sim.Time) {
 }
 
 // counter reads one metric's value from the registry snapshot.
-func counter(t *testing.T, st *Stack, name string) int64 {
+func counter(t *testing.T, st *stack.Stack, name string) int64 {
 	t.Helper()
 	for _, m := range st.Registry.Snapshot() {
 		if m.Name == name {
@@ -211,7 +212,7 @@ func TestRemediatorRebuildBeforeRejoin(t *testing.T) {
 	if inStripe {
 		t.Fatal("dead node 1 still named in the stripe layout")
 	}
-	if got := len(st.CP.tgt.Spares()); got != 1 {
+	if got := st.CP.Status().SparesLeft; got != 1 {
 		t.Fatalf("spare pool = %d, want 1 (one consumed by the rebuild)", got)
 	}
 }

@@ -1,4 +1,4 @@
-package controlplane
+package controlplane_test
 
 import (
 	"bytes"
@@ -6,17 +6,19 @@ import (
 	"testing"
 	"time"
 
+	"github.com/nowproject/now/internal/controlplane"
 	"github.com/nowproject/now/internal/obs"
 	"github.com/nowproject/now/internal/sim"
+	"github.com/nowproject/now/internal/stack"
 )
 
 // startServed boots a full stack behind a free-running Server and an
 // httptest HTTP front end — the `nowsim serve` + `nowctl` pipeline in
 // one process. Run with -race: every engine touch must funnel through
 // the drive goroutine.
-func startServed(t *testing.T) (*Client, *Stack) {
+func startServed(t *testing.T) (*controlplane.Client, *stack.Stack) {
 	t.Helper()
-	st, err := NewStack(StackConfig{
+	st, err := stack.NewServed(stack.ServeConfig{
 		Seed:         1,
 		Workstations: 10,
 		XFSNodes:     8,
@@ -27,9 +29,9 @@ func startServed(t *testing.T) (*Client, *Stack) {
 		JobWork:      40 * sim.Second,
 	})
 	if err != nil {
-		t.Fatalf("NewStack: %v", err)
+		t.Fatalf("NewServed: %v", err)
 	}
-	srv := NewServer(st.CP, st.Remediator, ServerConfig{Rate: 0, Quantum: 500 * sim.Millisecond})
+	srv := controlplane.NewServer(st.CP, st.Remediator, controlplane.ServerConfig{Rate: 0, Quantum: 500 * sim.Millisecond})
 	srv.Start()
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
@@ -40,7 +42,7 @@ func startServed(t *testing.T) (*Client, *Stack) {
 			t.Errorf("server drive error: %v", err)
 		}
 	})
-	return &Client{Base: hs.URL, HTTP: hs.Client()}, st
+	return &controlplane.Client{Base: hs.URL, HTTP: hs.Client()}, st
 }
 
 // waitFor polls cond through the client until it holds or the wall
@@ -191,11 +193,11 @@ func TestServeRoundTrip(t *testing.T) {
 // drive loop takes the throttle path, commands interleaving with
 // sleeps.
 func TestServeThrottled(t *testing.T) {
-	st, err := NewStack(StackConfig{Seed: 1, Workstations: 6})
+	st, err := stack.NewServed(stack.ServeConfig{Seed: 1, Workstations: 6})
 	if err != nil {
-		t.Fatalf("NewStack: %v", err)
+		t.Fatalf("NewServed: %v", err)
 	}
-	srv := NewServer(st.CP, st.Remediator, ServerConfig{Rate: 2000, Quantum: 200 * sim.Millisecond})
+	srv := controlplane.NewServer(st.CP, st.Remediator, controlplane.ServerConfig{Rate: 2000, Quantum: 200 * sim.Millisecond})
 	srv.Start()
 	defer func() {
 		srv.Stop()
@@ -228,16 +230,36 @@ func TestServeThrottled(t *testing.T) {
 
 // TestServerStopIdempotent: Stop twice, and Stop racing Do, are safe.
 func TestServerStopIdempotent(t *testing.T) {
-	st, err := NewStack(StackConfig{Seed: 1, Workstations: 4})
+	st, err := stack.NewServed(stack.ServeConfig{Seed: 1, Workstations: 4})
 	if err != nil {
-		t.Fatalf("NewStack: %v", err)
+		t.Fatalf("NewServed: %v", err)
 	}
 	defer st.Engine.Close()
-	srv := NewServer(st.CP, nil, ServerConfig{})
+	srv := controlplane.NewServer(st.CP, nil, controlplane.ServerConfig{})
 	srv.Start()
 	srv.Stop()
 	srv.Stop()
 	if err := srv.Err(); err != nil {
 		t.Fatalf("Err after clean stop: %v", err)
+	}
+}
+
+// TestServeSpansRace polls the span stream for about three seconds
+// while the job trickle keeps opening and closing spans underneath.
+// Spans handed to an HTTP handler must not alias the registry storage
+// the drive goroutine keeps writing span ends into. Run with -race.
+func TestServeSpansRace(t *testing.T) {
+	c, _ := startServed(t)
+	deadline := time.Now().Add(3 * time.Second)
+	seen := 0
+	for time.Now().Before(deadline) {
+		spans, err := c.Spans(0)
+		if err != nil {
+			t.Fatalf("Spans: %v", err)
+		}
+		seen = len(spans)
+	}
+	if seen == 0 {
+		t.Fatal("no spans streamed while jobs ran")
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/nowproject/now/internal/controlplane"
 	"github.com/nowproject/now/internal/faults"
 	"github.com/nowproject/now/internal/glunix"
 	"github.com/nowproject/now/internal/obs"
 	"github.com/nowproject/now/internal/sim"
+	"github.com/nowproject/now/internal/stack"
 	"github.com/nowproject/now/internal/stats"
 	"github.com/nowproject/now/internal/trace"
 	"github.com/nowproject/now/internal/xfs"
@@ -26,7 +28,7 @@ type FaultStudyConfig struct {
 	Horizon sim.Duration
 	// ReadStreams is how many parallel clients keep the stores busy.
 	// It must be enough to make the array throughput-bound, or the
-	// degraded window shows no penalty (see faultStudyRun). Zero means 4.
+	// degraded window shows no penalty (see runAV). Zero means 4.
 	ReadStreams int
 	// Seed drives the engine, the traces and the fault plan.
 	Seed int64
@@ -95,12 +97,12 @@ func FaultStudy(cfg FaultStudyConfig) (Report, []FaultStudyRow, error) {
 		{"baseline", nil},
 		{"faulted", planPtr(faultStudyPlan())},
 	} {
-		row, regs, err := faultStudyRun(cfg, sc.name, sc.plan)
+		arm, err := runAV(cfg, sc.plan, nil)
 		if err != nil {
 			return Report{}, nil, fmt.Errorf("fault study %s: %w", sc.name, err)
 		}
-		rows = append(rows, row)
-		for k, r := range regs {
+		rows = append(rows, arm.faultStudyRow(sc.name))
+		for k, r := range arm.regs {
 			reg[sc.name+"/"+k] = r
 		}
 	}
@@ -129,12 +131,24 @@ func FaultStudy(cfg FaultStudyConfig) (Report, []FaultStudyRow, error) {
 
 func planPtr(p faults.Plan) *faults.Plan { return &p }
 
-// faultStudyRun executes one scenario on a single engine: the GLUnix
-// mixed workload and the xFS read stream share virtual time, and one
-// injector drives both through a combined target.
-func faultStudyRun(cfg FaultStudyConfig, name string, plan *faults.Plan) (FaultStudyRow, map[string]*obs.Registry, error) {
-	row := FaultStudyRow{Scenario: name}
+// avArm is one run of the AV workload, measured.
+type avArm struct {
+	mixed glunix.MixedResult
+	st    *stack.Stack
+	// buckets holds the xFS read stream's delivered bytes per minute.
+	buckets []int64
+	regs    map[string]*obs.Registry
+}
 
+// avBucket is the width of the read stream's bandwidth buckets.
+const avBucket = 60 * sim.Second
+
+// runAV executes one arm of the AV studies on a single engine: the
+// GLUnix mixed workload and an xFS read stream share virtual time. A
+// non-nil plan drives both through one injector over the combined
+// target; a non-nil remediate adds the control plane and its
+// remediator, armed or not. Storage metrics go to their own registry.
+func runAV(cfg FaultStudyConfig, plan *faults.Plan, remediate *bool) (avArm, error) {
 	e := sim.NewEngine(cfg.Seed)
 	defer e.Close()
 	regCluster := obs.NewRegistry()
@@ -148,33 +162,39 @@ func faultStudyRun(cfg FaultStudyConfig, name string, plan *faults.Plan) (FaultS
 	xcfg.SpareNodes = cfg.XFSSpares
 	xcfg.Managers = 2
 	xcfg.ClientCacheBlocks = 16 // small cache: reads exercise the RAID
-	sys, err := xfs.New(e, xcfg)
-	if err != nil {
-		return row, nil, err
+	gcfg := glunix.DefaultConfig(cfg.Workstations)
+	gcfg.Seed = cfg.Seed
+	spec := stack.Spec{GLUnix: &gcfg, XFS: &xcfg, Faults: plan, StorageRegistry: regXFS}
+	if remediate != nil {
+		pol := controlplane.DefaultRemediationPolicy()
+		spec.Remediation = &pol
 	}
-	sys.Instrument(regXFS)
+	st, err := stack.Build(e, regCluster, spec)
+	if err != nil {
+		return avArm{}, err
+	}
+	if remediate != nil {
+		st.Remediator.SetEnabled(*remediate)
+	}
+	arm := avArm{st: st, regs: map[string]*obs.Registry{"cluster": regCluster, "xfs": regXFS}}
 
-	// The read load: four clients each cycle through their own file,
-	// larger than the client cache so steady-state reads hit storage.
-	// Four parallel streams keep the stores throughput-bound — a single
+	// The read load: each client cycles through its own file, larger
+	// than the client cache so steady-state reads hit storage. Several
+	// parallel streams keep the stores throughput-bound — a single
 	// latency-bound stream would actually speed up degraded (parallel
-	// reconstruct overlaps the survivors), hiding the cost the study is
-	// after. Completions are bucketed by minute for the phase numbers.
+	// reconstruct overlaps the survivors), hiding the cost the studies
+	// are after. Completions are bucketed by minute for the phase
+	// numbers.
 	const fileBlocks = 128
 	readStreams := cfg.ReadStreams
 	if readStreams <= 0 {
 		readStreams = 4
 	}
-	const bucket = 60 * sim.Second
-	buckets := make([]int64, int(cfg.Horizon/bucket)+1)
-	var firstClient *xfs.Client
+	arm.buckets = make([]int64, int(cfg.Horizon/avBucket)+1)
 	for r := 0; r < readStreams; r++ {
-		client := sys.Client(3 + r)
+		client := st.XFS.Client(3 + r)
 		file := xfs.FileID(1 + r)
-		if firstClient == nil {
-			firstClient = client
-		}
-		e.Spawn(fmt.Sprintf("faultstudy/xfsload%d", r), func(p *sim.Proc) {
+		e.Spawn(fmt.Sprintf("av/xfsload%d", r), func(p *sim.Proc) {
 			buf := make([]byte, xcfg.BlockBytes)
 			for blk := uint32(0); blk < fileBlocks; blk++ {
 				if err := client.Write(p, file, blk, buf); err != nil {
@@ -194,20 +214,16 @@ func faultStudyRun(cfg FaultStudyConfig, name string, plan *faults.Plan) (FaultS
 					// itself; skip rather than abort the stream.
 					continue
 				}
-				if b := int(p.Now() / bucket); b < len(buckets) {
-					buckets[b] += int64(len(data))
+				if b := int(p.Now() / avBucket); b < len(arm.buckets) {
+					arm.buckets[b] += int64(len(data))
 				}
 			}
 		})
 	}
 
 	// Cluster side: interactive users plus the parallel job log.
-	gcfg := glunix.DefaultConfig(cfg.Workstations)
-	gcfg.Seed = cfg.Seed
-	gcfg.Obs = regCluster
 	acfg := trace.DefaultActivityConfig(cfg.Workstations, 1)
 	acfg.Seed = cfg.Seed
-	activity := trace.GenerateActivity(acfg)
 	jcfg := trace.DefaultJobTraceConfig(cfg.Horizon)
 	jcfg.Seed = cfg.Seed
 	jcfg.MachineNodes = cfg.Workstations / 2 // every job fits the NOW
@@ -220,60 +236,57 @@ func faultStudyRun(cfg FaultStudyConfig, name string, plan *faults.Plan) (FaultS
 			jobs[i].CommGrain = 5 * sim.Second
 		}
 	}
-
-	var inj *faults.Injector
-	wire := func(c *glunix.Cluster) {
-		if plan == nil {
-			return
-		}
-		inj = faults.NewInjector(e,
-			faults.Combine(faults.ClusterTarget{C: c}, faults.NewXFSTarget(sys)),
-			*plan, regCluster)
-		inj.Schedule()
-	}
+	mixed := glunix.ScheduleMixed(st.Cluster, trace.GenerateActivity(acfg), jobs)
 	// Slack after the horizon lets restarted jobs finish.
-	res, err := glunix.RunMixedWith(e, gcfg, activity, jobs, cfg.Horizon+2*sim.Hour, wire)
-	if err != nil && !errors.Is(err, sim.ErrStopped) {
-		return row, nil, err
+	if err := e.RunUntil(sim.Time(cfg.Horizon + 2*sim.Hour)); err != nil && !errors.Is(err, sim.ErrStopped) {
+		return avArm{}, err
 	}
+	arm.mixed = mixed.Result()
+	return arm, nil
+}
 
-	row.JobsCompleted = res.JobsCompleted
-	row.JobsTotal = res.JobsTotal
-	row.MeanResponse = res.MeanResponse
+// faultStudyRow reads one AV1 scenario's row off its run.
+func (arm avArm) faultStudyRow(name string) FaultStudyRow {
+	res := arm.mixed
+	row := FaultStudyRow{
+		Scenario:      name,
+		JobsCompleted: res.JobsCompleted,
+		JobsTotal:     res.JobsTotal,
+		MeanResponse:  res.MeanResponse,
+		Rejoins:       res.Master.Rejoins,
+		Failovers:     arm.st.XFS.Stats().Failovers,
+	}
+	_, _, row.DegradedReads = arm.st.XFS.Client(3).Array().Stats()
 	if res.Master.UserDelays.N() > 0 {
 		row.UserDelayP95 = res.Master.UserDelays.Percentile(95)
 	}
-	row.Rejoins = res.Master.Rejoins
-	row.Failovers = sys.Stats().Failovers
-	_, _, row.DegradedReads = firstClient.Array().Stats()
-	if inj != nil {
-		row.FaultsApplied = inj.Applied()
+	if arm.st.Injector != nil {
+		row.FaultsApplied = arm.st.Injector.Applied()
 	}
 
 	// Phase bandwidths from the minute buckets, avoiding the buckets
 	// that contain a transition. Phases follow faultStudyPlan times;
 	// the baseline reports the same windows for comparability.
 	window := func(from, to sim.Time) float64 {
-		lo, hi := int(from/bucket)+1, int(to/bucket)
-		if hi > len(buckets) {
-			hi = len(buckets)
+		lo, hi := int(from/avBucket)+1, int(to/avBucket)
+		if hi > len(arm.buckets) {
+			hi = len(arm.buckets)
 		}
 		var sum int64
 		n := 0
 		for i := lo; i < hi; i++ {
-			sum += buckets[i]
+			sum += arm.buckets[i]
 			n++
 		}
 		if n == 0 {
 			return 0
 		}
-		return float64(sum) / float64(sim.Duration(n)*bucket/sim.Second) / 1e6
+		return float64(sum) / float64(sim.Duration(n)*avBucket/sim.Second) / 1e6
 	}
 	row.HealthyMBps = window(0, 1500*sim.Second)
 	row.DegradedMBps = window(1500*sim.Second, 2100*sim.Second)
 	// The rebuilt window ends before the manager kill at 2700s, so it
 	// shows the pure post-rebuild recovery.
 	row.RebuiltMBps = window(2400*sim.Second, 2700*sim.Second)
-
-	return row, map[string]*obs.Registry{"cluster": regCluster, "xfs": regXFS}, nil
+	return row
 }

@@ -1,17 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
-	"github.com/nowproject/now/internal/controlplane"
 	"github.com/nowproject/now/internal/faults"
-	"github.com/nowproject/now/internal/glunix"
 	"github.com/nowproject/now/internal/obs"
 	"github.com/nowproject/now/internal/sim"
 	"github.com/nowproject/now/internal/stats"
-	"github.com/nowproject/now/internal/trace"
-	"github.com/nowproject/now/internal/xfs"
 )
 
 // AV2 — availability with the loop closed. AV1 shows the stack riding
@@ -25,32 +20,11 @@ import (
 // the remediation loop buys. Pure virtual time, so both runs are
 // byte-deterministic and golden-gated.
 
-// RemediationStudyConfig shapes the AV2 study.
-type RemediationStudyConfig struct {
-	// Workstations in the GLUnix cluster.
-	Workstations int
-	// XFSNodes and XFSSpares shape the storage side.
-	XFSNodes  int
-	XFSSpares int
-	// Horizon is the faulted portion of the run.
-	Horizon sim.Duration
-	// ReadStreams is the parallel client count keeping storage busy.
-	ReadStreams int
-	// Seed drives everything.
-	Seed int64
-}
+// RemediationStudyConfig shapes the AV2 study: the AV1 workload.
+type RemediationStudyConfig = FaultStudyConfig
 
 // DefaultRemediationStudyConfig mirrors the AV1 scale.
-func DefaultRemediationStudyConfig() RemediationStudyConfig {
-	return RemediationStudyConfig{
-		Workstations: 16,
-		XFSNodes:     10,
-		XFSSpares:    2,
-		Horizon:      sim.Hour,
-		ReadStreams:  4,
-		Seed:         1,
-	}
-}
+func DefaultRemediationStudyConfig() RemediationStudyConfig { return DefaultFaultStudyConfig() }
 
 // RemediationRow is one AV2 measurement.
 type RemediationRow struct {
@@ -70,12 +44,13 @@ type RemediationRow struct {
 // manager kill all still land, but nobody scripts the rebuild — either
 // the remediator notices, or the stripe stays degraded to the end.
 func av2Plan() faults.Plan {
-	return faults.Scripted("av2",
-		faults.Fault{At: 600 * sim.Second, Kind: faults.Partition, Set: []int{3, 4}, For: 120 * sim.Second},
-		faults.Fault{At: 1200 * sim.Second, Kind: faults.Crash, Node: 5, For: 300 * sim.Second},
-		faults.Fault{At: 1500 * sim.Second, Kind: faults.DiskFail, Node: 2},
-		faults.Fault{At: 2700 * sim.Second, Kind: faults.MgrKill, Node: 0},
-	)
+	var kept []faults.Fault
+	for _, f := range faultStudyPlan().Faults {
+		if f.Kind != faults.Rebuild {
+			kept = append(kept, f)
+		}
+	}
+	return faults.Scripted("av2", kept...)
 }
 
 // RemediationStudy runs AV2: the unrepaired fault plan with the
@@ -93,12 +68,12 @@ func RemediationStudy(cfg RemediationStudyConfig) (Report, []RemediationRow, err
 		{"remediate off", false},
 		{"remediate on", true},
 	} {
-		row, regs, err := remediationRun(cfg, sc.name, sc.remediate)
+		arm, err := runAV(cfg, planPtr(av2Plan()), &sc.remediate)
 		if err != nil {
 			return Report{}, nil, fmt.Errorf("remediation study %s: %w", sc.name, err)
 		}
-		rows = append(rows, row)
-		for k, r := range regs {
+		rows = append(rows, arm.remediationRow(sc.name))
+		for k, r := range arm.regs {
 			reg[sc.name+"/"+k] = r
 		}
 	}
@@ -125,132 +100,23 @@ func RemediationStudy(cfg RemediationStudyConfig) (Report, []RemediationRow, err
 	}, rows, nil
 }
 
-// remediationRun executes one AV2 arm: the AV1 workload shape, a
-// control plane over the live stack, and a remediator that is armed or
-// not. The injector and the spare pool are shared between the plan and
-// the control plane through one XFSTarget.
-func remediationRun(cfg RemediationStudyConfig, name string, remediate bool) (RemediationRow, map[string]*obs.Registry, error) {
-	row := RemediationRow{Scenario: name}
-
-	e := sim.NewEngine(cfg.Seed)
-	defer e.Close()
-	regCluster := obs.NewRegistry()
-	e.Observe(regCluster)
-	regXFS := obs.NewRegistry()
-	regXFS.SetClock(func() obs.Time { return int64(e.Now()) })
-
-	xcfg := xfs.DefaultConfig(cfg.XFSNodes)
-	xcfg.SpareNodes = cfg.XFSSpares
-	xcfg.Managers = 2
-	xcfg.ClientCacheBlocks = 16
-	sys, err := xfs.New(e, xcfg)
-	if err != nil {
-		return row, nil, err
+// remediationRow reads one AV2 arm's row off its run.
+func (arm avArm) remediationRow(name string) RemediationRow {
+	row := RemediationRow{
+		Scenario:      name,
+		JobsCompleted: arm.mixed.JobsCompleted,
+		JobsTotal:     arm.mixed.JobsTotal,
+		MeanResponse:  arm.mixed.MeanResponse,
+		FaultsApplied: arm.st.Injector.Applied(),
 	}
-	sys.Instrument(regXFS)
-
-	// The same throughput-bound read load as AV1, bucketed by minute.
-	const fileBlocks = 128
-	readStreams := cfg.ReadStreams
-	if readStreams <= 0 {
-		readStreams = 4
-	}
-	const bucket = 60 * sim.Second
-	buckets := make([]int64, int(cfg.Horizon/bucket)+1)
-	for r := 0; r < readStreams; r++ {
-		client := sys.Client(3 + r)
-		file := xfs.FileID(1 + r)
-		e.Spawn(fmt.Sprintf("av2/xfsload%d", r), func(p *sim.Proc) {
-			buf := make([]byte, xcfg.BlockBytes)
-			for blk := uint32(0); blk < fileBlocks; blk++ {
-				if err := client.Write(p, file, blk, buf); err != nil {
-					p.Fail(err)
-				}
-			}
-			if err := client.Sync(p); err != nil {
-				p.Fail(err)
-			}
-			for blk := uint32(0); ; blk = (blk + 1) % fileBlocks {
-				if p.Now() >= sim.Time(cfg.Horizon) {
-					return
-				}
-				data, err := client.Read(p, file, blk)
-				if err != nil {
-					continue
-				}
-				if b := int(p.Now() / bucket); b < len(buckets) {
-					buckets[b] += int64(len(data))
-				}
-			}
-		})
-	}
-
-	gcfg := glunix.DefaultConfig(cfg.Workstations)
-	gcfg.Seed = cfg.Seed
-	gcfg.Obs = regCluster
-	acfg := trace.DefaultActivityConfig(cfg.Workstations, 1)
-	acfg.Seed = cfg.Seed
-	activity := trace.GenerateActivity(acfg)
-	jcfg := trace.DefaultJobTraceConfig(cfg.Horizon)
-	jcfg.Seed = cfg.Seed
-	jcfg.MachineNodes = cfg.Workstations / 2
-	jcfg.MeanInterarrival = 10 * sim.Minute
-	jcfg.MeanDevWork = 3 * sim.Minute
-	jcfg.MeanProdWork = 10 * sim.Minute
-	jobs := trace.GenerateJobs(jcfg)
-	for i := range jobs {
-		if jobs[i].CommGrain < 5*sim.Second {
-			jobs[i].CommGrain = 5 * sim.Second
-		}
-	}
-
-	plan := av2Plan()
-	var inj *faults.Injector
-	wire := func(c *glunix.Cluster) {
-		// One XFSTarget shared by the plan injector and the control
-		// plane: live rebuilds and plan rebuilds draw the same spares.
-		tgt := faults.NewXFSTarget(sys)
-		inj = faults.NewInjector(e,
-			faults.Combine(faults.ClusterTarget{C: c}, tgt), plan, regCluster)
-		inj.Schedule()
-		cp, cperr := controlplane.New(controlplane.Config{
-			Engine:    e,
-			Cluster:   c,
-			XFS:       sys,
-			XFSTarget: tgt,
-			Injector:  inj,
-			Registry:  regCluster,
-		})
-		if cperr != nil {
-			e.Fail(cperr)
-			return
-		}
-		rem := controlplane.NewRemediator(cp, controlplane.DefaultRemediationPolicy())
-		rem.Start()
-		rem.SetEnabled(remediate)
-	}
-	res, err := glunix.RunMixedWith(e, gcfg, activity, jobs, cfg.Horizon+2*sim.Hour, wire)
-	if err != nil && !errors.Is(err, sim.ErrStopped) {
-		return row, nil, err
-	}
-
-	row.JobsCompleted = res.JobsCompleted
-	row.JobsTotal = res.JobsTotal
-	row.MeanResponse = res.MeanResponse
-	row.FaultsApplied = inj.Applied()
-	for _, m := range regCluster.Snapshot() {
-		switch m.Name {
-		case "remediate.rebuilds":
-			row.Rebuilds = m.Value
-		case "remediate.actions":
-			row.RemediateActions = m.Value
-		}
-	}
+	row.Rebuilds, _ = arm.st.Registry.CounterValue("remediate.rebuilds")
+	row.RemediateActions, _ = arm.st.Registry.CounterValue("remediate.actions")
 
 	// Availability: whole minutes at ≥90% of the healthy-phase mean.
 	// Healthy = minutes 1..24 (warm, before the 1500s disk failure);
 	// the measured span is every complete minute after warmup.
-	healthyEnd := int(1500 * sim.Second / bucket)
+	buckets := arm.buckets
+	healthyEnd := int(1500 * sim.Second / avBucket)
 	var healthySum int64
 	for i := 1; i < healthyEnd; i++ {
 		healthySum += buckets[i]
@@ -269,6 +135,5 @@ func remediationRun(cfg RemediationStudyConfig, name string, remediate bool) (Re
 	if total > 0 {
 		row.AvailabilityPct = 100 * float64(okMin) / float64(total)
 	}
-
-	return row, map[string]*obs.Registry{"cluster": regCluster, "xfs": regXFS}, nil
+	return row
 }

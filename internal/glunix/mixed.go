@@ -45,7 +45,25 @@ func RunMixedWith(e *sim.Engine, cfg Config, activity *trace.ActivityTrace,
 	if wire != nil {
 		wire(c)
 	}
-	// Feed user activity into the daemons.
+	m := ScheduleMixed(c, activity, jobs)
+	if err := e.RunUntil(horizon); err != nil && !errors.Is(err, sim.ErrStopped) {
+		return MixedResult{}, fmt.Errorf("glunix: mixed run: %w", err)
+	}
+	return m.Result(), nil
+}
+
+// MixedRun is a mixed workload scheduled on an already-built cluster.
+type MixedRun struct {
+	c         *Cluster
+	submitted []*Job
+}
+
+// ScheduleMixed feeds the interactive activity trace (may be nil) to
+// c's daemons and schedules the job log's arrivals, without running
+// the engine. Jobs larger than the cluster are skipped. Read the
+// outcome with Result once the caller has run the engine.
+func ScheduleMixed(c *Cluster, activity *trace.ActivityTrace, jobs []trace.ParallelJob) *MixedRun {
+	e := c.Eng
 	if activity != nil {
 		for _, ev := range activity.Events {
 			ev := ev
@@ -55,27 +73,29 @@ func RunMixedWith(e *sim.Engine, cfg Config, activity *trace.ActivityTrace,
 			e.At(ev.T, func() { c.Daemons[ev.WS+1].SetUserActive(ev.Active) })
 		}
 	}
-	// Submit the job log.
-	submitted := make([]*Job, 0, len(jobs))
+	m := &MixedRun{c: c, submitted: make([]*Job, 0, len(jobs))}
 	for _, tj := range jobs {
-		if tj.Nodes > cfg.Workstations {
+		if tj.Nodes > c.Cfg.Workstations {
 			continue
 		}
 		j := NewJob(tj.ID, tj.Nodes, tj.Work, tj.CommGrain)
-		submitted = append(submitted, j)
+		m.submitted = append(m.submitted, j)
 		e.At(tj.Arrive, func() { c.Master.Submit(j) })
 	}
-	if err := e.RunUntil(horizon); err != nil && !errors.Is(err, sim.ErrStopped) {
-		return MixedResult{}, fmt.Errorf("glunix: mixed run: %w", err)
-	}
+	return m
+}
+
+// Result summarizes the run so far: completions, response times and
+// the master's statistics.
+func (m *MixedRun) Result() MixedResult {
 	res := MixedResult{
-		Workstations: cfg.Workstations,
-		JobsTotal:    len(submitted),
+		Workstations: m.c.Cfg.Workstations,
+		JobsTotal:    len(m.submitted),
 		Responses:    make(map[int]sim.Duration),
-		Master:       c.Master.Stats(),
+		Master:       m.c.Master.Stats(),
 	}
 	var sum stats.Summary
-	for _, j := range submitted {
+	for _, j := range m.submitted {
 		if j.Done() {
 			res.JobsCompleted++
 			res.Responses[j.ID] = j.Response()
@@ -85,7 +105,7 @@ func RunMixedWith(e *sim.Engine, cfg Config, activity *trace.ActivityTrace,
 	if res.JobsCompleted > 0 {
 		res.MeanResponse = sim.Duration(sum.Mean() * float64(sim.Second))
 	}
-	return res, nil
+	return res
 }
 
 // Slowdown compares a NOW run against a dedicated-machine baseline: the

@@ -35,6 +35,7 @@ type opMix struct {
 	loadPPM int64
 
 	nextStream int // global stream id across opmix events
+	privBase   int // largest hot-file count of any opmix event (see privateFile)
 
 	ops, meta, data, errors *obs.Counter
 	latency                 *obs.Histogram
@@ -55,6 +56,11 @@ func newOpMix(s *Scenario, e *sim.Engine, sys *xfs.System, blockBytes int, sm *s
 	m := &opMix{s: s, e: e, sys: sys, blockBytes: blockBytes, loadPPM: 1_000_000, sm: sm}
 	if s.Fleet.XFS == nil {
 		return m // no storage: opmix events are rejected by Validate
+	}
+	for _, ev := range s.Events {
+		if ev.Kind == EvOpMix {
+			m.privBase = max(m.privBase, opMixFiles(ev))
+		}
 	}
 	r := sm.reg
 	m.ops = r.Counter("scenario.opmix.ops")
@@ -85,10 +91,7 @@ func (m *opMix) start(ev Event) {
 	if think <= 0 {
 		think = defaultThink
 	}
-	files := ev.Files
-	if files <= 0 {
-		files = defaultFiles
-	}
+	files := opMixFiles(ev)
 	blocks := ev.Blocks
 	if blocks <= 0 {
 		blocks = defaultBlocks
@@ -99,9 +102,7 @@ func (m *opMix) start(ev Event) {
 		m.nextStream++
 		rng := rand.New(rand.NewSource(m.s.Seed*1_000_003 + int64(stream)))
 		client := m.sys.Client(stream % m.sys.Nodes())
-		// Hot shared files occupy ids [1, files]; each stream's private
-		// data file sits above them.
-		privFile := xfs.FileID(files + 1 + stream)
+		privFile := m.privateFile(stream)
 		m.e.Spawn(fmt.Sprintf("opmix/%d", stream), func(p *sim.Proc) {
 			buf := make([]byte, m.blockBytes)
 			for {
@@ -149,6 +150,21 @@ func (m *opMix) start(ev Event) {
 			}
 		})
 	}
+}
+
+// opMixFiles is an opmix event's hot-file count.
+func opMixFiles(ev Event) int {
+	if ev.Files <= 0 {
+		return defaultFiles
+	}
+	return ev.Files
+}
+
+// privateFile is a stream's private data file. Hot shared files occupy
+// ids [1, files] of their own mix; every private file sits above the
+// largest of those ranges, one id per stream across all mixes.
+func (m *opMix) privateFile(stream int) xfs.FileID {
+	return xfs.FileID(m.privBase + 1 + stream)
 }
 
 // tallies reports the counters for the run summary.

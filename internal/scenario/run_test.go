@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/nowproject/now/internal/obs"
+	"github.com/nowproject/now/internal/xfs"
 )
 
 // tinyScenario is a fast cluster story: a crash window, a job batch,
@@ -75,27 +78,91 @@ func TestRunOutcomes(t *testing.T) {
 	}
 }
 
-// TestRunDeterminism runs the same scenario twice: report and metrics
-// export must be byte-identical — the property verify.sh golden-gates.
+// twoOpMixes runs two op mixes with different files= values over one
+// xFS fleet: their streams' private data files must not collide, and
+// the run must stay deterministic.
+const twoOpMixes = `scenario t
+seed 1
+horizon 60s
+fleet xfs 12
+at 2s opmix 2 meta=0.0 think=237ms files=20 blocks=4
+at 3s opmix 2 meta=0.0 think=281ms files=17 blocks=4
+`
+
+// TestRunDeterminism runs each scenario twice: report, metrics export
+// and span trace must be byte-identical — the property verify.sh
+// golden-gates.
 func TestRunDeterminism(t *testing.T) {
-	run := func() (string, []byte) {
-		res, err := Run(mustParse(t, tinyScenario), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := res.Registry.WriteMetricsJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return res.Report(), buf.Bytes()
+	for _, tc := range []struct{ name, in string }{
+		{"tiny", tinyScenario},
+		{"two-opmix", twoOpMixes},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() (string, []byte, []byte) {
+				res, err := Run(mustParse(t, tc.in), Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var metrics, spans bytes.Buffer
+				if err := res.Registry.WriteMetricsJSON(&metrics); err != nil {
+					t.Fatal(err)
+				}
+				if err := res.Registry.WriteTraceJSON(&spans); err != nil {
+					t.Fatal(err)
+				}
+				return res.Report(), metrics.Bytes(), spans.Bytes()
+			}
+			r1, m1, s1 := run()
+			r2, m2, s2 := run()
+			if r1 != r2 {
+				t.Fatalf("reports differ:\n--- 1 ---\n%s--- 2 ---\n%s", r1, r2)
+			}
+			if !bytes.Equal(m1, m2) {
+				t.Fatal("metrics exports differ")
+			}
+			if !bytes.Equal(s1, s2) {
+				t.Fatal("span traces differ")
+			}
+		})
 	}
-	r1, m1 := run()
-	r2, m2 := run()
-	if r1 != r2 {
-		t.Fatalf("reports differ:\n--- 1 ---\n%s--- 2 ---\n%s", r1, r2)
+}
+
+// TestOpMixPrivateFilesDisjoint: every stream's private data file lies
+// above the hot files of every mix, and no two streams share one.
+func TestOpMixPrivateFilesDisjoint(t *testing.T) {
+	s := mustParse(t, twoOpMixes)
+	m := newOpMix(s, nil, nil, 0, newScenarioMetrics(obs.NewRegistry()))
+	seen := map[xfs.FileID]bool{}
+	for stream := 0; stream < 4; stream++ {
+		f := m.privateFile(stream)
+		if f <= 20 {
+			t.Fatalf("stream %d private file %d inside a mix's hot files [1, 20]", stream, f)
+		}
+		if seen[f] {
+			t.Fatalf("stream %d private file %d shared with another stream", stream, f)
+		}
+		seen[f] = true
 	}
-	if !bytes.Equal(m1, m2) {
-		t.Fatal("metrics exports differ")
+}
+
+// TestRunCheckpointsSeeSameInstantEvents: a checkpoint at the instant
+// of a fault and an operator verb observes both.
+func TestRunCheckpointsSeeSameInstantEvents(t *testing.T) {
+	in := `scenario same-instant
+seed 1
+horizon 120s
+fleet ws 8
+at 60s cordon 3
+at 60s crash 5 for 10s
+expect cp.cordons == 1 at 60s
+expect faults.injected == 1 at 60s
+`
+	res, err := Run(mustParse(t, in), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Ok() {
+		t.Fatalf("same-instant checkpoint missed its events:\n%s", res.Report())
 	}
 }
 

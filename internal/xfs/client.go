@@ -100,13 +100,15 @@ func (m *manager) lookup(key BlockKey) *blockMeta {
 func (m *manager) grantRead(p *sim.Proc, key BlockKey, node int) tokReply {
 	bm := m.lookup(key)
 	rep := tokReply{fetchFrom: -1, addr: bm.addr}
-	if bm.owner >= 0 && bm.owner != node {
+	if owner := bm.owner; owner >= 0 && owner != node {
 		// Downgrade the owner: it writes the block back and keeps a
-		// clean copy; the reader fetches cache-to-cache from it.
-		if _, err := m.sys.eps[m.node].Call(p, netsim.NodeID(bm.owner), hYield,
+		// clean copy; the reader fetches cache-to-cache from it. The
+		// yield blocks, and a concurrent grant may clear bm.owner
+		// meanwhile, so the downgraded node is the one captured here.
+		if _, err := m.sys.eps[m.node].Call(p, netsim.NodeID(owner), hYield,
 			tokArgs{key: key, node: node}, 32); err == nil {
-			bm.readers[bm.owner] = struct{}{}
-			rep.fetchFrom = bm.owner
+			bm.readers[owner] = struct{}{}
+			rep.fetchFrom = owner
 			bm.written = true
 		}
 		bm.owner = -1

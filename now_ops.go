@@ -11,6 +11,7 @@ import (
 	"github.com/nowproject/now/internal/netram"
 	"github.com/nowproject/now/internal/obs"
 	"github.com/nowproject/now/internal/scenario"
+	"github.com/nowproject/now/internal/stack"
 	"github.com/nowproject/now/internal/trace"
 )
 
@@ -168,16 +169,17 @@ var RunGLUnixMixed = glunix.RunMixedWith
 // injection, metric/span streaming); a Remediator closes the
 // self-healing loop; a ControlPlaneServer maps virtual time onto the
 // wall clock and serves the HTTP/JSON operator API; a
-// ControlPlaneClient is its typed client (what nowctl speaks). See
-// docs/CONTROLPLANE.md.
+// ControlPlaneClient is its typed client (what nowctl speaks); a
+// ControlPlaneStack is a servable NOW, built by the same stack builder
+// the scenario runner uses. See docs/CONTROLPLANE.md.
 type (
 	ControlPlane             = controlplane.ControlPlane
 	ControlPlaneConfig       = controlplane.Config
 	ControlPlaneServer       = controlplane.Server
 	ControlPlaneServerConfig = controlplane.ServerConfig
 	ControlPlaneClient       = controlplane.Client
-	ControlPlaneStack        = controlplane.Stack
-	ControlPlaneStackConfig  = controlplane.StackConfig
+	ControlPlaneStack        = stack.Stack
+	ControlPlaneStackConfig  = stack.ServeConfig
 	Remediator               = controlplane.Remediator
 	RemediationPolicy        = controlplane.RemediationPolicy
 	WorkstationStatus        = controlplane.NodeStatus
@@ -189,7 +191,7 @@ type (
 var (
 	NewControlPlane          = controlplane.New
 	NewControlPlaneServer    = controlplane.NewServer
-	NewControlPlaneStack     = controlplane.NewStack
+	NewControlPlaneStack     = stack.NewServed
 	NewRemediator            = controlplane.NewRemediator
 	DefaultRemediationPolicy = controlplane.DefaultRemediationPolicy
 )

@@ -20,6 +20,8 @@ echo "== go test -race ./internal/faults/..."
 go test -race -count=1 ./internal/faults/...
 echo "== go test -race ./internal/controlplane/... (serve drive loop + HTTP round trip)"
 go test -race -count=1 ./internal/controlplane/...
+echo "== go test -race ./internal/stack/... (the one stack builder behind scenarios, studies, federation and serve)"
+go test -race -count=1 ./internal/stack/...
 echo "== go test -race ./internal/netsim/... ./internal/proto/... (incl. cross-shard handoff)"
 go test -race -count=1 ./internal/netsim/... ./internal/proto/...
 echo "== go test -race sharded experiments stack (engine+fabric+collectives end to end)"
@@ -65,4 +67,13 @@ echo "== wide-area golden determinism (WA1 byte-identical, crossover pinned to t
 go test -count=1 -run 'TestWideAreaGoldenDeterminism' ./cmd/nowbench/ >/dev/null
 go test -count=1 -run 'TestWideAreaCrossover|TestWideAreaDeterminism' ./internal/experiments/ >/dev/null
 go test -count=1 -run 'TestFederatedDeterminismAcrossWorkers' ./internal/federation/ >/dev/null
+echo "== benchmark digests (perfbench tests; every workload correct against its pinned seed-1 digest)"
+go -C perfbench test ./...
+for w in storage-drill fleet-4096 wan-federation; do
+  line=$(bash perfbench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+  case "$line" in
+  *'"correct":true'*) ;;
+  *) echo "perfbench $w: result not correct: $line" >&2; exit 1 ;;
+  esac
+done
 echo "verify: all checks passed"
