@@ -8,6 +8,7 @@
 //	nowbench -quick       # reduced scales, under a minute
 //	nowbench -only T2,F4  # a comma-separated subset of experiment ids
 //	nowbench -json        # machine-readable reports (scripts/bench.sh)
+//	nowbench -only AV1 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Experiment ids follow DESIGN.md §3: T1 T2 T3 T4 F1 F2 F3 F4, the
 // prose claims E5 E6 E7 E8 E9 E10, the fault-injection availability
@@ -52,7 +53,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("nowbench", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "reduced experiment scales (finishes in well under a minute)")
 	only := fs.String("only", "", "comma-separated experiment ids to run (default: all)")
@@ -60,9 +61,20 @@ func run(args []string) error {
 	asJSON := fs.Bool("json", false, "emit reports as a JSON array instead of text tables")
 	metricsPath := fs.String("metrics", "", "write the instrumented experiments' metrics registries to this JSON file")
 	shards := fs.Int("shards", 0, "pin the SC2 worker sweep to this single worker count (0 = full 1/2/4/8 sweep)")
+	cpuProfile := fs.String("cpuprofile", "", "write a host CPU profile (pprof) of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a host heap profile (pprof) to this file at the end of the run")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}()
 	want := map[string]bool{}
 	if *only != "" {
 		for _, id := range strings.Split(*only, ",") {

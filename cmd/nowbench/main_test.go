@@ -273,3 +273,42 @@ func TestTopologyStudyGoldenDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestRunProfileFlags checks that -cpuprofile and -memprofile write
+// non-empty pprof files (gzip-framed protobuf) and leave stdout
+// unchanged.
+func TestRunProfileFlags(t *testing.T) {
+	capture := func(args ...string) []byte {
+		t.Helper()
+		old := os.Stdout
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		os.Stdout = w
+		runErr := run(args)
+		w.Close()
+		os.Stdout = old
+		raw, _ := io.ReadAll(r)
+		if runErr != nil {
+			t.Fatal(runErr)
+		}
+		return raw
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	plain := capture("-json", "-quick", "-only", "T1,E6")
+	profiled := capture("-json", "-quick", "-only", "T1,E6", "-cpuprofile", cpu, "-memprofile", mem)
+	if !bytes.Equal(plain, profiled) {
+		t.Errorf("profiling changed stdout:\n%s\n----\n%s", profiled, plain)
+	}
+	for _, path := range []string{cpu, mem} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(raw) < 2 || raw[0] != 0x1f || raw[1] != 0x8b {
+			t.Fatalf("%s: %d bytes, not a gzip-framed profile", filepath.Base(path), len(raw))
+		}
+	}
+}

@@ -40,6 +40,7 @@
 //	nowsim run examples/scenarios/nfs-opmix-day.scn
 //	nowsim run -metrics day.json story.scn
 //	nowsim run -shards 4 sharded.scn
+//	nowsim run -cpuprofile cpu.pprof -memprofile mem.pprof story.scn
 //	nowsim check examples/scenarios/*.scn
 //
 // run prints the scenario's deterministic report and exits 0 when every
@@ -235,18 +236,29 @@ func runSharded(ws, workers int, seed int64, metricsPath, csvPath, tracePath str
 // runScenario executes one scenario file: parse, run, print the
 // deterministic report, export metrics if asked. Assertion failures
 // come back as errAssertFailed after the report and exports are out.
-func runScenario(args []string) error {
+func runScenario(args []string) (err error) {
 	fs := flag.NewFlagSet("nowsim run", flag.ContinueOnError)
 	shards := fs.Int("shards", 0, "sharded-fleet worker count (execution only, never observable; 0 = one per core)")
 	metricsPath := fs.String("metrics", "", "write metrics JSON (deterministic, byte-stable) to this file")
 	metricsCSV := fs.String("metrics-csv", "", "write metrics CSV to this file")
 	tracePath := fs.String("trace", "", "write span trace JSON to this file")
+	cpuProfile := fs.String("cpuprofile", "", "write a host CPU profile (pprof) of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a host heap profile (pprof) to this file at the end of the run")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: nowsim run [flags] <file.scn>")
 	}
+	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}()
 	s, err := now.ParseScenarioFile(fs.Arg(0))
 	if err != nil {
 		return err

@@ -371,3 +371,39 @@ func TestBadFaultSpec(t *testing.T) {
 		t.Fatal("bad fault spec accepted")
 	}
 }
+
+// TestRunProfileFlags checks that -cpuprofile and -memprofile write
+// non-empty pprof files (gzip-framed protobuf) and leave the report on
+// stdout unchanged.
+func TestRunProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	scn := "../../examples/scenarios/fault-drill.scn"
+	plain, err := captureRun(t, []string{"run", scn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	out, err := captureRun(t, []string{"run", "-cpuprofile", cpu, "-memprofile", mem, scn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != plain {
+		t.Errorf("profiling changed the report:\n%s\n----\n%s", out, plain)
+	}
+	for _, path := range []string{cpu, mem} {
+		checkGzipFile(t, path)
+	}
+}
+
+// checkGzipFile fails unless path is non-empty and starts with the
+// gzip magic bytes that frame every pprof profile.
+func checkGzipFile(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) < 2 || raw[0] != 0x1f || raw[1] != 0x8b {
+		t.Fatalf("%s: %d bytes, not a gzip-framed profile", filepath.Base(path), len(raw))
+	}
+}

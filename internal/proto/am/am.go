@@ -128,12 +128,11 @@ type pktKind uint8
 const (
 	kindRequest pktKind = iota + 1
 	kindReply
-	// kindAck is the transport-level receipt: it stops the sender's
-	// retransmission timer without completing the call.
-	kindAck
 )
 
-// wire is the fabric payload for an AM packet.
+// wire is the fabric payload for an AM request or reply. Both are
+// immutable once sent: a retransmission resends the request's wire and
+// a duplicate request is answered with the cached reply's wire.
 type wire struct {
 	kind    pktKind
 	seq     uint64
@@ -145,8 +144,17 @@ type wire struct {
 	ackedBelow uint64
 }
 
+// ackOf is the payload of a transport-level receipt, which stops the
+// sender's retransmission timer without completing the call. It is the
+// acknowledged request's own wire under a distinct type, so an ack
+// carries the request's seq without allocating.
+type ackOf wire
+
+// pending is one outstanding send. The request's wire and packet live
+// inside it, so posting a request allocates once.
 type pending struct {
-	pkt      *netsim.Packet
+	w        wire
+	pkt      netsim.Packet
 	seq      uint64
 	dst      netsim.NodeID
 	retries  int
@@ -177,7 +185,7 @@ type Endpoint struct {
 	node     *node.Node
 	fab      *netsim.Fabric
 	id       netsim.NodeID
-	handlers map[HandlerID]Handler
+	handlers map[HandlerID]handlerEntry
 
 	tx *sim.Mailbox[*netsim.Packet]
 	rq *sim.Mailbox[*netsim.Packet]
@@ -193,20 +201,56 @@ type Endpoint struct {
 
 	// seen caches processed request seqs per source with their replies,
 	// pruned by the cumulative ackedBelow the source advertises.
-	seen map[netsim.NodeID]map[uint64]cachedReply
+	seen map[netsim.NodeID]*dedupCache
+
+	// runs recycles handler launches; onTimeoutFn is ep.onTimeout bound
+	// once, so arming a retransmission timer allocates no closure.
+	runs        []*handlerRun
+	onTimeoutFn func(any)
 
 	stats    Stats
 	detached bool
 	seq      uint64
 }
 
-type cachedReply struct {
-	val   any
-	bytes int
-	// inProgress marks a request whose handler is still executing in a
-	// worker process; duplicates arriving meanwhile are dropped (the
-	// sender's retry will find the cached reply once it lands).
-	inProgress bool
+// handlerEntry is a registered handler with the name its worker
+// processes carry, built once at registration.
+type handlerEntry struct {
+	fn   Handler
+	name string
+}
+
+// dedupCache is one source's duplicate-suppression cache. A nil reply
+// marks a request whose handler is still executing in a worker process;
+// duplicates arriving meanwhile are dropped (the sender's retry will
+// find the cached reply once it lands).
+type dedupCache struct {
+	replies map[uint64]*wire
+	// low is a floor under every cached seq: a request whose ackedBelow
+	// does not pass it has nothing to prune, so the map is scanned only
+	// when the source's acknowledgements move past the floor.
+	low uint64
+}
+
+// put caches seq's reply (nil while its handler runs).
+func (c *dedupCache) put(seq uint64, reply *wire) {
+	c.replies[seq] = reply
+	if seq < c.low {
+		c.low = seq
+	}
+}
+
+// prune drops every cached seq below ackedBelow.
+func (c *dedupCache) prune(ackedBelow uint64) {
+	if ackedBelow <= c.low {
+		return
+	}
+	for seq := range c.replies {
+		if seq < ackedBelow {
+			delete(c.replies, seq)
+		}
+	}
+	c.low = ackedBelow
 }
 
 // NewEndpoint attaches node n to the fabric with the given config and
@@ -233,15 +277,16 @@ func NewEndpoint(e *sim.Engine, n *node.Node, fab *netsim.Fabric, cfg Config) *E
 		node:        n,
 		fab:         fab,
 		id:          n.ID(),
-		handlers:    make(map[HandlerID]Handler),
+		handlers:    make(map[HandlerID]handlerEntry),
 		tx:          sim.NewMailbox[*netsim.Packet](e, fmt.Sprintf("am%d/tx", n.ID())),
 		rq:          sim.NewMailbox[*netsim.Packet](e, fmt.Sprintf("am%d/rq", n.ID())),
 		lowestUnack: make(map[netsim.NodeID]uint64),
 		pend:        make(map[uint64]*pending),
 		outstanding: make(map[netsim.NodeID]int),
 		windowSig:   sim.NewSignal(e, fmt.Sprintf("am%d/window", n.ID())),
-		seen:        make(map[netsim.NodeID]map[uint64]cachedReply),
+		seen:        make(map[netsim.NodeID]*dedupCache),
 	}
+	ep.onTimeoutFn = ep.onTimeout
 	fab.SetDeliveryPort(ep.id, cfg.Port, ep.deliver)
 	e.Spawn(fmt.Sprintf("am%d/txproc", n.ID()), ep.txLoop)
 	e.Spawn(fmt.Sprintf("am%d/dispatch", n.ID()), ep.dispatch)
@@ -277,7 +322,12 @@ func (ep *Endpoint) ChargeRecv(p *sim.Proc, payloadBytes int) {
 
 // Register installs h for id. Re-registering replaces the handler.
 func (ep *Endpoint) Register(id HandlerID, h Handler) {
-	ep.handlers[id] = h
+	ep.handlers[id] = handlerEntry{fn: h, name: ep.handlerName(id)}
+}
+
+// handlerName names the worker processes that run handler id.
+func (ep *Endpoint) handlerName(id HandlerID) string {
+	return fmt.Sprintf("am%d/h%d", ep.id, id)
 }
 
 // Detach disconnects the endpoint (simulating a crashed node): incoming
@@ -381,23 +431,28 @@ func (ep *Endpoint) post(p *sim.Proc, dst netsim.NodeID, h HandlerID, arg any, p
 	ep.chargeCPU(p, ep.cfg.SendOverhead+sim.Duration(payloadBytes)*ep.cfg.SendPerByte)
 	ep.seq++
 	seq := ep.seq
-	w := &wire{
-		kind:       kindRequest,
-		seq:        seq,
-		handler:    h,
-		arg:        arg,
-		bytes:      payloadBytes,
-		ackedBelow: ep.lowestUnack[dst],
+	pd := &pending{
+		w: wire{
+			kind:       kindRequest,
+			seq:        seq,
+			handler:    h,
+			arg:        arg,
+			bytes:      payloadBytes,
+			ackedBelow: ep.lowestUnack[dst],
+		},
+		pkt: netsim.Packet{
+			Src:     ep.id,
+			SrcPort: ep.cfg.Port,
+			Dst:     dst,
+			Port:    ep.cfg.Port,
+			Bytes:   payloadBytes + ep.cfg.HeaderBytes,
+		},
+		seq:   seq,
+		dst:   dst,
+		async: async,
 	}
-	pkt := &netsim.Packet{
-		Src:     ep.id,
-		SrcPort: ep.cfg.Port,
-		Dst:     dst,
-		Port:    ep.cfg.Port,
-		Bytes:   payloadBytes + ep.cfg.HeaderBytes,
-		Payload: w,
-	}
-	pd := &pending{pkt: pkt, seq: seq, dst: dst, async: async}
+	pd.pkt.Payload = &pd.w
+	pkt := &pd.pkt
 	if !async {
 		pd.done = sim.NewSignal(ep.eng, "am/call")
 	}
@@ -408,11 +463,18 @@ func (ep *Endpoint) post(p *sim.Proc, dst netsim.NodeID, h HandlerID, arg any, p
 	ep.updateLowestUnack(dst)
 	ep.stats.Sent++
 	ep.tx.Put(pkt)
-	pd.timer = ep.eng.After(ep.timeoutFor(pkt), func() { ep.onTimeout(pd) })
+	ep.armTimer(pd, ep.timeoutFor(pkt))
 	return pd
 }
 
-func (ep *Endpoint) onTimeout(pd *pending) {
+// armTimer (re)arms pd's retransmission or completion deadline d from
+// now.
+func (ep *Endpoint) armTimer(pd *pending, d sim.Duration) {
+	pd.timer = ep.eng.AtArg(ep.eng.Now()+d, ep.onTimeoutFn, pd)
+}
+
+func (ep *Endpoint) onTimeout(arg any) {
+	pd := arg.(*pending)
 	if pd.finished {
 		return
 	}
@@ -435,7 +497,7 @@ func (ep *Endpoint) onTimeout(pd *pending) {
 	}
 	pd.retries++
 	ep.stats.Retries++
-	ep.tx.Put(pd.pkt)
+	ep.tx.Put(&pd.pkt)
 	// Exponential backoff: under congestion (incast at the receiver's
 	// link) the first timeout estimate is wrong by the backlog's depth;
 	// doubling keeps retransmissions from feeding the collapse they are
@@ -444,7 +506,7 @@ func (ep *Endpoint) onTimeout(pd *pending) {
 	if backoff > 6 {
 		backoff = 6
 	}
-	pd.timer = ep.eng.After(ep.timeoutFor(pd.pkt)<<backoff, func() { ep.onTimeout(pd) })
+	ep.armTimer(pd, ep.timeoutFor(&pd.pkt)<<backoff)
 }
 
 // onAck switches a pending send from retransmission mode to the (much
@@ -457,7 +519,7 @@ func (ep *Endpoint) onAck(seq uint64) {
 	pd.acked = true
 	pd.retries = 0 // a live destination refreshes the retry budget
 	pd.timer.Stop()
-	pd.timer = ep.eng.After(ep.cfg.CompletionTimeout, func() { ep.onTimeout(pd) })
+	ep.armTimer(pd, ep.cfg.CompletionTimeout)
 }
 
 // timeoutFor sizes the retransmission timer to the message: the base
@@ -555,14 +617,22 @@ func (ep *Endpoint) deliver(pkt *netsim.Packet) {
 func (ep *Endpoint) dispatch(p *sim.Proc) {
 	for {
 		pkt := ep.rq.Get(p)
-		w, ok := pkt.Payload.(*wire)
-		if !ok {
+		switch w := pkt.Payload.(type) {
+		case *ackOf:
+			ep.chargeCPU(p, ep.cfg.RecvOverhead)
+			ep.onAck(w.seq)
 			ep.fab.FreePacket(pkt)
-			continue
-		}
-		ep.chargeCPU(p, ep.cfg.RecvOverhead+sim.Duration(w.bytes)*ep.cfg.RecvPerByte)
-		switch w.kind {
-		case kindRequest:
+		case *wire:
+			ep.chargeCPU(p, ep.cfg.RecvOverhead+sim.Duration(w.bytes)*ep.cfg.RecvPerByte)
+			if w.kind == kindReply {
+				if pd, ok := ep.pend[w.seq]; ok {
+					ep.complete(pd, w.arg, false)
+				}
+				// Unknown seq: a duplicate reply for a call that already
+				// completed — drop it.
+				ep.fab.FreePacket(pkt)
+				continue
+			}
 			// Transport receipt first: the sender stops retransmitting
 			// while the handler (possibly a long disk operation) runs.
 			// Acks are single-shot (a retried request generates a fresh
@@ -574,23 +644,47 @@ func (ep *Endpoint) dispatch(p *sim.Proc) {
 			ack.Dst = pkt.Src
 			ack.Port = pkt.SrcPort
 			ack.Bytes = ep.cfg.HeaderBytes
-			ack.Payload = &wire{kind: kindAck, seq: w.seq}
+			ack.Payload = (*ackOf)(w)
 			ep.tx.Put(ack)
 			// Request packets are never pooled: the sender retains them
 			// for retransmission, so there is nothing to recycle here.
 			ep.handleRequest(p, pkt, w)
-		case kindReply:
-			if pd, ok := ep.pend[w.seq]; ok {
-				ep.complete(pd, w.arg, false)
-			}
-			// Unknown seq: a duplicate reply for a call that already
-			// completed — drop it.
-			ep.fab.FreePacket(pkt)
-		case kindAck:
-			ep.onAck(w.seq)
+		default:
 			ep.fab.FreePacket(pkt)
 		}
 	}
+}
+
+// handlerRun carries one request into the worker process that runs its
+// handler. The endpoint recycles them, each with its body bound once, so
+// launching a handler allocates nothing beyond the process itself.
+type handlerRun struct {
+	ep      *Endpoint
+	h       Handler
+	src     netsim.NodeID
+	srcPort int
+	seq     uint64
+	arg     any
+	bytes   int
+	body    func(*sim.Proc)
+}
+
+// run is a handler worker's body: it copies the request out, recycles r,
+// then runs the handler and replies.
+func (r *handlerRun) run(wp *sim.Proc) {
+	ep, h, src, srcPort, seq := r.ep, r.h, r.src, r.srcPort, r.seq
+	m := Msg{Src: src, Arg: r.arg, Bytes: r.bytes}
+	r.h, r.arg = nil, nil
+	ep.runs = append(ep.runs, r)
+	var reply any
+	replyBytes := 0
+	if h != nil {
+		reply, replyBytes = h(wp, m)
+	}
+	ep.stats.Handled++
+	rw := &wire{kind: kindReply, seq: seq, arg: reply, bytes: replyBytes}
+	ep.seen[src].put(seq, rw)
+	ep.sendReply(wp, src, srcPort, rw)
 }
 
 // handleRequest deduplicates and launches the handler. Handlers run in
@@ -601,52 +695,49 @@ func (ep *Endpoint) handleRequest(p *sim.Proc, pkt *netsim.Packet, w *wire) {
 	src := pkt.Src
 	cache := ep.seen[src]
 	if cache == nil {
-		cache = make(map[uint64]cachedReply)
+		cache = &dedupCache{replies: make(map[uint64]*wire)}
 		ep.seen[src] = cache
 	}
 	// Prune entries the sender has confirmed.
-	for seq := range cache {
-		if seq < w.ackedBelow {
-			delete(cache, seq)
-		}
-	}
-	if cached, dup := cache[w.seq]; dup {
+	cache.prune(w.ackedBelow)
+	if cached, dup := cache.replies[w.seq]; dup {
 		ep.stats.Duplicates++
-		if !cached.inProgress {
-			ep.sendReply(p, src, pkt.SrcPort, w.seq, cached.val, cached.bytes)
+		if cached != nil {
+			ep.sendReply(p, src, pkt.SrcPort, cached)
 		}
 		return
 	}
-	cache[w.seq] = cachedReply{inProgress: true}
-	h := ep.handlers[w.handler]
-	seq := w.seq
-	arg := w.arg
-	bytes := w.bytes
-	srcPort := pkt.SrcPort
-	ep.eng.Spawn(fmt.Sprintf("am%d/h%d", ep.id, w.handler), func(wp *sim.Proc) {
-		var reply any
-		replyBytes := 0
-		if h != nil {
-			reply, replyBytes = h(wp, Msg{Src: src, Arg: arg, Bytes: bytes})
-		}
-		ep.stats.Handled++
-		ep.seen[src][seq] = cachedReply{val: reply, bytes: replyBytes}
-		ep.sendReply(wp, src, srcPort, seq, reply, replyBytes)
-	})
+	cache.put(w.seq, nil)
+	he, ok := ep.handlers[w.handler]
+	if !ok {
+		he.name = ep.handlerName(w.handler)
+	}
+	var r *handlerRun
+	if n := len(ep.runs); n > 0 {
+		r = ep.runs[n-1]
+		ep.runs[n-1] = nil
+		ep.runs = ep.runs[:n-1]
+	} else {
+		r = &handlerRun{ep: ep}
+		r.body = r.run
+	}
+	r.h, r.src, r.srcPort, r.seq, r.arg, r.bytes = he.fn, src, pkt.SrcPort, w.seq, w.arg, w.bytes
+	ep.eng.Spawn(he.name, r.body)
 }
 
-func (ep *Endpoint) sendReply(p *sim.Proc, dst netsim.NodeID, srcPort int, seq uint64, val any, bytes int) {
-	ep.chargeCPU(p, ep.cfg.SendOverhead+sim.Duration(bytes)*ep.cfg.SendPerByte)
+// sendReply transmits the reply wire rw to dst's port srcPort.
+func (ep *Endpoint) sendReply(p *sim.Proc, dst netsim.NodeID, srcPort int, rw *wire) {
+	ep.chargeCPU(p, ep.cfg.SendOverhead+sim.Duration(rw.bytes)*ep.cfg.SendPerByte)
 	ep.stats.Replies++
 	// Replies, like acks, are single-shot: a duplicate request is
-	// answered with a fresh packet from the cache, so this one can come
-	// from the pool and be recycled by the receiving dispatcher.
+	// answered with a fresh packet carrying the cached wire, so this one
+	// can come from the pool and be recycled by the receiving dispatcher.
 	pkt := ep.fab.NewPacket()
 	pkt.Src = ep.id
 	pkt.SrcPort = ep.cfg.Port
 	pkt.Dst = dst
 	pkt.Port = srcPort
-	pkt.Bytes = bytes + ep.cfg.HeaderBytes
-	pkt.Payload = &wire{kind: kindReply, seq: seq, arg: val, bytes: bytes}
+	pkt.Bytes = rw.bytes + ep.cfg.HeaderBytes
+	pkt.Payload = rw
 	ep.tx.Put(pkt)
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // testNet builds n nodes with AM endpoints on the given fabric config.
-func testNet(t *testing.T, e *sim.Engine, n int, fcfg netsim.Config, acfg Config) (*netsim.Fabric, []*Endpoint) {
+func testNet(t testing.TB, e *sim.Engine, n int, fcfg netsim.Config, acfg Config) (*netsim.Fabric, []*Endpoint) {
 	t.Helper()
 	fab, err := netsim.New(e, fcfg)
 	if err != nil {

@@ -173,3 +173,24 @@ func BenchmarkResourceContention(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkSpawnChurn measures the host cost of a short-lived process:
+// a spawner starts one child per step, and each child sleeps once and
+// exits — the shape of an Active Message handler process. Processes run
+// on pooled goroutines, so a steady churn creates no new goroutines and
+// allocs/op counts only the Proc itself.
+func BenchmarkSpawnChurn(b *testing.B) {
+	e := NewEngine(1)
+	child := func(p *Proc) { p.Sleep(Microsecond) }
+	e.Spawn("spawner", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			e.Spawn("child", child)
+			p.Sleep(Microsecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

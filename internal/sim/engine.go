@@ -42,6 +42,14 @@ type Engine struct {
 	running bool
 	closed  bool
 	closing bool
+
+	// pool holds idle worker goroutines (LIFO, so the warmest stack
+	// runs next); retiring is a worker whose process exited while
+	// driving, pooled by dispatch when the token leaves it.
+	pool     []*worker
+	retiring *worker
+	startFn  func(any) // e.start, bound once so spawns allocate no closure
+
 	// stat lives at the tail so the 64-byte tally block does not push
 	// the loop-read control fields (stopped, limit, queues) onto extra
 	// cache lines; the hot fields above keep their pre-obs layout.
@@ -52,12 +60,14 @@ type Engine struct {
 // random source seeded with seed. Two engines created with the same seed
 // and driven by the same program produce identical schedules.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
+	e := &Engine{
 		rng:    rand.New(rand.NewSource(seed)),
 		parked: make(chan struct{}),
 		done:   make(chan struct{}),
 		procs:  make(map[*Proc]struct{}),
 	}
+	e.startFn = e.start
+	return e
 }
 
 // Now returns the current virtual time.
@@ -255,7 +265,14 @@ func (e *Engine) dispatch(self *Proc) (wake, dispatchResult) {
 			if q == self {
 				return tok, dispatchWoken
 			}
+			if q.done {
+				// q's resume channel now belongs to whatever process its
+				// worker runs next; waking it would resume the wrong body.
+				e.Fail(fmt.Errorf("sim: wake for exited process %q (pid %d)", q.name, q.id))
+				continue
+			}
 			e.stat.switches++
+			e.poolRetiring()
 			q.resume <- tok
 			return wake{}, dispatchHandoff
 		}
@@ -272,6 +289,16 @@ func (e *Engine) dispatch(self *Proc) (wake, dispatchResult) {
 		fn()
 	}
 	return wake{}, dispatchDone
+}
+
+// poolRetiring returns the retiring worker, if any, to the pool. It runs
+// while the caller still holds the driver token, just before the token
+// moves on.
+func (e *Engine) poolRetiring() {
+	if w := e.retiring; w != nil {
+		e.retiring = nil
+		e.pool = append(e.pool, w)
+	}
 }
 
 // Run executes events until the queue drains or Stop/Fail is called,
@@ -313,9 +340,10 @@ func (e *Engine) RunUntil(limit Time) error {
 	return nil
 }
 
-// Close terminates every still-parked process so that no goroutines
-// outlive the simulation. It is idempotent. After Close the engine can
-// no longer run, and scheduling new work panics.
+// Close terminates every still-parked process and ends every idle
+// worker, so that no goroutines outlive the simulation. It is
+// idempotent. After Close the engine can no longer run, and scheduling
+// new work panics.
 func (e *Engine) Close() {
 	if e.closed {
 		return
@@ -335,6 +363,10 @@ func (e *Engine) Close() {
 	for _, p := range victims {
 		p.kill()
 	}
+	for _, w := range e.pool {
+		w.resume <- wake{kill: true}
+	}
+	e.pool = nil
 }
 
 // Pending reports the number of events still queued, including cancelled

@@ -26,13 +26,30 @@ type wake struct {
 // when its process parks. Waking another process is therefore one direct
 // channel handoff, and a process woken by its own next event (the common
 // Sleep/Yield case) resumes without any goroutine switch at all.
+//
+// The goroutine under a process is borrowed from the engine's worker
+// pool (see worker), and its resume channel is the worker's. Once the
+// process has exited, that channel belongs to whatever process the
+// worker runs next, which is why dispatch refuses to wake a finished
+// process.
 type Proc struct {
 	eng     *Engine
 	id      int
 	name    string
+	body    func(p *Proc) // cleared once the process starts
 	resume  chan wake
 	done    bool
 	driving bool // this goroutine holds the driver token
+}
+
+// worker is a pooled goroutine that runs process bodies one after
+// another, so a grown stack survives from one short-lived process to
+// the next. A worker returns to its engine's pool only when a body
+// returns normally; a panic, Proc.Fail or a Close kill ends the
+// goroutine instead. Close ends every idle worker.
+type worker struct {
+	resume chan wake
+	next   *Proc // the process to run; set before the start wake
 }
 
 // Spawn starts body as a new simulated process at the current virtual
@@ -46,44 +63,89 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 // SpawnAt is Spawn with an explicit start time, used by workload
 // generators replaying traces.
 func (e *Engine) SpawnAt(t Time, name string, body func(p *Proc)) *Proc {
-	p := &Proc{eng: e, id: e.nextPID, name: name, resume: make(chan wake)}
+	p := &Proc{eng: e, id: e.nextPID, name: name, body: body}
 	e.nextPID++
-	e.At(t, func() {
-		e.procs[p] = struct{}{}
-		// Synchronous handoff: the new goroutine runs body immediately
-		// (without the driver token) and hands control back here at its
-		// first park or exit.
-		go p.run(body)
-		<-e.parked
-	})
+	e.AtArg(t, e.startFn, p)
 	return p
 }
 
-func (p *Proc) run(body func(p *Proc)) {
+// start is the spawn event: it runs body on an idle worker (or a new
+// one) synchronously. The worker runs the body without the driver token
+// and hands control back here at its first park or exit.
+func (e *Engine) start(arg any) {
+	p := arg.(*Proc)
+	e.procs[p] = struct{}{}
+	if n := len(e.pool); n > 0 {
+		w := e.pool[n-1]
+		e.pool[n-1] = nil
+		e.pool = e.pool[:n-1]
+		p.resume = w.resume
+		w.next = p
+		w.resume <- wake{}
+	} else {
+		w := &worker{resume: make(chan wake), next: p}
+		p.resume = w.resume
+		go w.loop()
+	}
+	<-e.parked
+}
+
+// loop runs process bodies until one of them does not return normally
+// or the engine closes while the worker is idle.
+func (w *worker) loop() {
+	for {
+		p := w.next
+		w.next = nil
+		if !p.run(w) {
+			return
+		}
+		if tok := <-w.resume; tok.kill {
+			return
+		}
+	}
+}
+
+// run executes the process body on w and reports whether it returned
+// normally, which is when w may run another process. By the time the
+// engine can see control again, w is back in the pool or about to end.
+func (p *Proc) run(w *worker) (reuse bool) {
+	body := p.body
+	p.body = nil
 	defer func() {
+		e := p.eng
 		p.done = true
-		delete(p.eng.procs, p)
+		delete(e.procs, p)
 		if r := recover(); r != nil {
 			if _, ok := r.(killSentinel); !ok {
 				// A real bug in process code: surface it as a run failure
 				// instead of crashing the host test binary.
-				p.eng.Fail(fmt.Errorf("sim: process %q panicked: %v", p.name, r))
+				e.Fail(fmt.Errorf("sim: process %q panicked: %v", p.name, r))
 			}
 		}
 		if p.driving {
 			// This goroutine holds the driver token: keep the simulation
 			// moving until the token can be handed to another process or
-			// the run terminates.
-			if _, res := p.eng.dispatch(nil); res == dispatchDone {
-				p.eng.done <- struct{}{}
+			// the run terminates. w must not be in the pool while it
+			// dispatches (a spawn event would pick it), so dispatch pools
+			// it just before it hands the token on.
+			if reuse {
+				e.retiring = w
+			}
+			if _, res := e.dispatch(nil); res == dispatchDone {
+				e.poolRetiring()
+				e.done <- struct{}{}
 			}
 		} else {
 			// Woken synchronously (spawn start or teardown): hand control
 			// back to the waiting caller.
-			p.eng.parked <- struct{}{}
+			if reuse {
+				e.pool = append(e.pool, w)
+			}
+			e.parked <- struct{}{}
 		}
 	}()
 	body(p)
+	return true
 }
 
 // park blocks the process until a wake token arrives, yielding control

@@ -16,9 +16,14 @@ benchtime="${BENCHTIME:-1s}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-sim_benches='BenchmarkEventThroughput$|BenchmarkProcSwitch$|BenchmarkResourceContention$|BenchmarkYieldStorm$|BenchmarkTimerCancelChurn$|BenchmarkMailboxPingPong$|BenchmarkShardedThroughput/'
+sim_benches='BenchmarkEventThroughput$|BenchmarkProcSwitch$|BenchmarkResourceContention$|BenchmarkYieldStorm$|BenchmarkTimerCancelChurn$|BenchmarkMailboxPingPong$|BenchmarkSpawnChurn$|BenchmarkShardedThroughput/'
 go test -run '^$' -bench "$sim_benches" -benchmem -benchtime "$benchtime" \
     ./internal/sim/ | tee "$raw"
+
+# One Active Message round trip (post, ack, handler process, reply):
+# the per-request host cost under every xFS, GLUnix and collective call.
+go test -run '^$' -bench 'BenchmarkCallRoundTrip$' -benchmem -benchtime "$benchtime" \
+    ./internal/proto/am/ | tee -a "$raw"
 
 # Degraded-mode file-system bandwidth (virtual-time MB/s, healthy vs
 # post-crash reconstruct reads) — the fault studies' headline figure —
