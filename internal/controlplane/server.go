@@ -198,8 +198,7 @@ func (s *Server) Handler() http.Handler {
 		var body struct {
 			Line string `json:"line"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &body) {
 			return
 		}
 		var err error
@@ -250,14 +249,32 @@ func (s *Server) Handler() http.Handler {
 		var body struct {
 			Enabled bool `json:"enabled"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &body) {
 			return
 		}
 		s.reply(w, func() { s.rem.SetEnabled(body.Enabled) },
 			func() any { return map[string]bool{"enabled": body.Enabled} })
 	})
 	return mux
+}
+
+// maxBodyBytes bounds a command body; the largest real one is a single
+// fault-plan line.
+const maxBodyBytes = 64 << 10
+
+// decodeBody decodes r's JSON body into v, answering 413 past
+// maxBodyBytes and 400 on bad JSON; it reports whether to go on.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, err)
+	}
+	return err == nil
 }
 
 // nodeAction runs one id-taking command and answers {"status": okWord}.

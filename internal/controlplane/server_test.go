@@ -2,7 +2,9 @@ package controlplane_test
 
 import (
 	"bytes"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -261,5 +263,30 @@ func TestServeSpansRace(t *testing.T) {
 	}
 	if seen == 0 {
 		t.Fatal("no spans streamed while jobs ran")
+	}
+}
+
+// TestServeBodyLimit: a command body past the server's limit is refused
+// with 413 instead of being buffered, and the server keeps answering.
+func TestServeBodyLimit(t *testing.T) {
+	c, _ := startServed(t)
+	huge := `{"line":"` + strings.Repeat("x", 1<<20) + `"}`
+	for _, path := range []string{"/v1/faults", "/v1/remediate"} {
+		resp, err := c.HTTP.Post(c.Base+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s with a 1 MiB body: status %d, want 413", path, resp.StatusCode)
+		}
+		status, err := c.HTTP.Get(c.Base + "/v1/status")
+		if err != nil {
+			t.Fatalf("GET /v1/status after oversized %s: %v", path, err)
+		}
+		status.Body.Close()
+		if status.StatusCode != http.StatusOK {
+			t.Fatalf("GET /v1/status after oversized %s: status %d", path, status.StatusCode)
+		}
 	}
 }

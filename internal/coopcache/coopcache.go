@@ -17,7 +17,6 @@ import (
 
 	"github.com/nowproject/now/internal/lru"
 	"github.com/nowproject/now/internal/netsim"
-	"github.com/nowproject/now/internal/node"
 	"github.com/nowproject/now/internal/proto/am"
 	"github.com/nowproject/now/internal/sim"
 )
@@ -197,13 +196,10 @@ func New(e *sim.Engine, cfg Config) (*System, error) {
 		return nil, fmt.Errorf("coopcache: %w", err)
 	}
 	sys := &System{cfg: cfg, eng: e}
-	mkEP := func(id int) *am.Endpoint {
-		ncfg := node.DefaultConfig(netsim.NodeID(id))
-		return am.NewEndpoint(e, node.New(e, ncfg), fab, cfg.Proto)
-	}
+	eps := am.NewFleet(fab, cfg.Proto, nil)
 	sys.server = &server{
 		sys:   sys,
-		ep:    mkEP(0),
+		ep:    eps[0],
 		cache: lru.New[BlockID, struct{}](cfg.ServerCacheBlocks),
 		dir:   make(map[BlockID]map[int]struct{}),
 	}
@@ -213,7 +209,7 @@ func New(e *sim.Engine, cfg Config) (*System, error) {
 		c := &client{
 			sys:   sys,
 			idx:   i,
-			ep:    mkEP(i + 1),
+			ep:    eps[i+1],
 			cache: lru.New[BlockID, *cachedBlock](cfg.ClientCacheBlocks),
 		}
 		c.register()

@@ -46,17 +46,19 @@ func Figure2(sizesMB []int64) (Report, []Figure2Row, error) {
 			return netram.MultigridResult{}, err
 		}
 		fab.Instrument(reg)
-		mk := func(id int, mem int64) *am.Endpoint {
-			cfg := node.DefaultConfig(netsim.NodeID(id))
-			cfg.MemoryBytes = mem
-			return am.NewEndpoint(e, node.New(e, cfg), fab, am.DefaultConfig())
-		}
+		eps := am.NewFleet(fab, am.DefaultConfig(), func(id netsim.NodeID) node.Config {
+			cfg := node.DefaultConfig(id)
+			cfg.MemoryBytes = 256 * mb
+			if id == 0 {
+				cfg.MemoryBytes = memBytes
+			}
+			return cfg
+		})
 		dir := netram.NewRegistry()
-		client := mk(0, memBytes)
-		pager := netram.NewPager(client, dir)
+		pager := netram.NewPager(eps[0], dir)
 		pager.Instrument(reg)
-		for i := 0; i < servers; i++ {
-			dir.Offer(netram.NewServer(mk(i+1, 256*mb), 16384))
+		for _, ep := range eps[1:] {
+			dir.Offer(netram.NewServer(ep, 16384))
 		}
 		var res netram.MultigridResult
 		e.Spawn("app", func(p *sim.Proc) {
@@ -141,14 +143,11 @@ func MemoryRestore() (Report, []RestoreRow, error) {
 		if err != nil {
 			return 0, err
 		}
-		eps := make([]*am.Endpoint, disks+1)
+		eps := am.NewFleet(fab, am.DefaultConfig(), nil)
 		ids := make([]netsim.NodeID, 0, disks)
-		for i := 0; i <= disks; i++ {
-			eps[i] = am.NewEndpoint(e, node.New(e, node.DefaultConfig(netsim.NodeID(i))), fab, am.DefaultConfig())
-			if i > 0 {
-				swraid.NewStore(eps[i])
-				ids = append(ids, eps[i].ID())
-			}
+		for _, ep := range eps[1:] {
+			swraid.NewStore(ep)
+			ids = append(ids, ep.ID())
 		}
 		level := swraid.RAID0
 		arr, err := swraid.NewArray(eps[0], swraid.Config{Level: level, ChunkBytes: chunk, Stores: ids})
@@ -203,8 +202,7 @@ func MemoryRestore() (Report, []RestoreRow, error) {
 	if err != nil {
 		return Report{}, nil, err
 	}
-	a := am.NewEndpoint(e, node.New(e, node.DefaultConfig(0)), fab, am.DefaultConfig())
-	am.NewEndpoint(e, node.New(e, node.DefaultConfig(1)), fab, am.DefaultConfig())
+	a := am.NewFleet(fab, am.DefaultConfig(), nil)[0]
 	var ramElapsed sim.Duration
 	e.Spawn("ramrestore", func(p *sim.Proc) {
 		start := p.Now()

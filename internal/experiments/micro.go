@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/nowproject/now/internal/netsim"
-	"github.com/nowproject/now/internal/node"
 	"github.com/nowproject/now/internal/proto/am"
 	"github.com/nowproject/now/internal/proto/kstack"
 	"github.com/nowproject/now/internal/sim"
@@ -23,9 +22,8 @@ func twoNodeRig(fcfg netsim.Config, acfg am.Config) (*sim.Engine, *am.Endpoint, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	a := am.NewEndpoint(e, node.New(e, node.DefaultConfig(0)), fab, acfg)
-	b := am.NewEndpoint(e, node.New(e, node.DefaultConfig(1)), fab, acfg)
-	return e, a, b, nil
+	eps := am.NewFleet(fab, acfg, nil)
+	return e, eps[0], eps[1], nil
 }
 
 // oneWayTime measures post-to-handler latency for one payload size.

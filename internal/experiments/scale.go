@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/nowproject/now/internal/netsim"
-	"github.com/nowproject/now/internal/node"
 	"github.com/nowproject/now/internal/obs"
 	"github.com/nowproject/now/internal/proto/am"
 	"github.com/nowproject/now/internal/proto/collective"
@@ -123,10 +122,7 @@ func scaleOne(n int, cfg ScaleConfig, acfg am.Config) (ScaleRow, *obs.Registry, 
 		return ScaleRow{}, nil, err
 	}
 	fab.Instrument(reg)
-	eps := make([]*am.Endpoint, n)
-	for i := 0; i < n; i++ {
-		eps[i] = am.NewEndpoint(e, node.New(e, node.DefaultConfig(netsim.NodeID(i))), fab, acfg)
-	}
+	eps := am.NewFleet(fab, acfg, nil)
 	comm, err := collective.New(e, eps, collective.Config{Arity: cfg.Arity})
 	if err != nil {
 		return ScaleRow{}, nil, err

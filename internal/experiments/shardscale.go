@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/nowproject/now/internal/netsim"
-	"github.com/nowproject/now/internal/node"
 	"github.com/nowproject/now/internal/obs"
 	"github.com/nowproject/now/internal/proto/am"
 	"github.com/nowproject/now/internal/proto/collective"
@@ -112,29 +111,27 @@ func ShardedTraffic(cfg ShardedTrafficConfig) (ShardedTrafficResult, *obs.Regist
 	regs[cfg.Parts] = obs.NewRegistry()
 	se.Observe(regs[cfg.Parts])
 
-	acfg := am.DefaultConfig()
+	// One fleet per partition (nil at the nodes other partitions own);
+	// eps and nodeOf gather every rank across partitions.
+	fleets := make([][]*am.Endpoint, cfg.Parts)
 	eps := make([]*am.Endpoint, cfg.Nodes)
 	nodeOf := make([]netsim.NodeID, cfg.Nodes)
-	for i := 0; i < cfg.Nodes; i++ {
-		nodeOf[i] = netsim.NodeID(i)
-		p := pm.Part(netsim.NodeID(i))
-		e := se.Engine(p)
-		eps[i] = am.NewEndpoint(e, node.New(e, node.DefaultConfig(netsim.NodeID(i))), sf.Part(p), acfg)
-		eps[i].Register(0x10, func(p *sim.Proc, m am.Msg) (any, int) {
-			return m.Arg, 16
-		})
+	for p := range fleets {
+		fleets[p] = am.NewFleet(sf.Part(p), am.DefaultConfig(), nil)
+		for i, ep := range fleets[p] {
+			if ep != nil {
+				eps[i], nodeOf[i] = ep, ep.ID()
+				ep.Register(0x10, func(p *sim.Proc, m am.Msg) (any, int) {
+					return m.Arg, 16
+				})
+			}
+		}
 	}
 	// One communicator fragment per partition, sharing the rank→node map.
 	comms := make([]*collective.Comm, cfg.Parts)
 	if cfg.Barriers > 0 {
 		for p := 0; p < cfg.Parts; p++ {
-			part := make([]*am.Endpoint, cfg.Nodes)
-			for i, ep := range eps {
-				if pm.Local(netsim.NodeID(i), p) {
-					part[i] = ep
-				}
-			}
-			comms[p], err = collective.NewPart(se.Engine(p), part, nodeOf, collective.DefaultConfig())
+			comms[p], err = collective.NewPart(se.Engine(p), fleets[p], nodeOf, collective.DefaultConfig())
 			if err != nil {
 				return ShardedTrafficResult{}, nil, err
 			}

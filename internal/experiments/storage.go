@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/nowproject/now/internal/netsim"
-	"github.com/nowproject/now/internal/node"
 	"github.com/nowproject/now/internal/proto/am"
 	"github.com/nowproject/now/internal/sim"
 	"github.com/nowproject/now/internal/stats"
@@ -37,15 +36,11 @@ func SWRAID() (Report, []RAIDRow, error) {
 		if err != nil {
 			return 0, err
 		}
+		eps := am.NewFleet(fab, am.DefaultConfig(), nil)
 		ids := make([]netsim.NodeID, 0, disks)
-		eps := make([]*am.Endpoint, 0, disks+1)
-		for i := 0; i <= disks; i++ {
-			ep := am.NewEndpoint(e, node.New(e, node.DefaultConfig(netsim.NodeID(i))), fab, am.DefaultConfig())
-			eps = append(eps, ep)
-			if i > 0 {
-				swraid.NewStore(ep)
-				ids = append(ids, ep.ID())
-			}
+		for _, ep := range eps[1:] {
+			swraid.NewStore(ep)
+			ids = append(ids, ep.ID())
 		}
 		arr, err := swraid.NewArray(eps[0], swraid.Config{Level: level, ChunkBytes: chunk, Stores: ids})
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/nowproject/now/internal/netsim"
-	"github.com/nowproject/now/internal/node"
 	"github.com/nowproject/now/internal/proto/am"
 	"github.com/nowproject/now/internal/sim"
 )
@@ -69,12 +68,10 @@ func RunMini(e *sim.Engine, cfg MiniConfig) (MiniResult, error) {
 	if err != nil {
 		return MiniResult{}, fmt.Errorf("gator: %w", err)
 	}
-	eps := make([]*am.Endpoint, cfg.Nodes)
+	eps := am.NewFleet(fab, cfg.Proto, nil)
 	recvd := make([]int, cfg.Nodes)
 	arrived := make([]*sim.Signal, cfg.Nodes)
-	for i := 0; i < cfg.Nodes; i++ {
-		nd := node.New(e, node.DefaultConfig(netsim.NodeID(i)))
-		eps[i] = am.NewEndpoint(e, nd, fab, cfg.Proto)
+	for i := range eps {
 		rank := i
 		arrived[i] = sim.NewSignal(e, fmt.Sprintf("gator/arr%d", i))
 		eps[i].Register(hBoundary, func(p *sim.Proc, m am.Msg) (any, int) {

@@ -200,9 +200,6 @@ func New(e *sim.Engine, cfg Config) (*Cluster, error) {
 	if cfg.Fabric == nil {
 		cfg.Fabric = netsim.ATM155
 	}
-	if cfg.NodeTemplate == nil {
-		cfg.NodeTemplate = node.DefaultConfig
-	}
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 5 * sim.Second
 	}
@@ -230,13 +227,12 @@ func New(e *sim.Engine, cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("glunix: %w", err)
 	}
 	c := &Cluster{Cfg: cfg, Eng: e, Fab: fab}
+	c.EPs = am.NewFleet(fab, cfg.Proto, cfg.NodeTemplate)
 	c.Nodes = make([]*node.Node, total)
-	c.EPs = make([]*am.Endpoint, total)
-	for i := 0; i < total; i++ {
-		c.Nodes[i] = node.New(e, cfg.NodeTemplate(netsim.NodeID(i)))
-		c.EPs[i] = am.NewEndpoint(e, c.Nodes[i], fab, cfg.Proto)
+	for i, ep := range c.EPs {
+		c.Nodes[i] = ep.Node()
 		// Bulk transfer sink on every node.
-		c.EPs[i].Register(hBulk, func(p *sim.Proc, m am.Msg) (any, int) { return nil, 0 })
+		ep.Register(hBulk, func(p *sim.Proc, m am.Msg) (any, int) { return nil, 0 })
 	}
 	c.Master = newMaster(c)
 	c.Daemons = make([]*Daemon, total)

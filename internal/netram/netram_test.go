@@ -27,16 +27,17 @@ func newRig(t *testing.T, memBytes int64, nServers, donateFrames int) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(id int, mem int64) *am.Endpoint {
-		cfg := node.DefaultConfig(netsim.NodeID(id))
-		cfg.MemoryBytes = mem
-		return am.NewEndpoint(e, node.New(e, cfg), fab, am.DefaultConfig())
-	}
-	r := &rig{e: e, reg: NewRegistry()}
-	r.client = mk(0, memBytes)
+	eps := am.NewFleet(fab, am.DefaultConfig(), func(id netsim.NodeID) node.Config {
+		cfg := node.DefaultConfig(id)
+		cfg.MemoryBytes = 256 << 20
+		if id == 0 {
+			cfg.MemoryBytes = memBytes
+		}
+		return cfg
+	})
+	r := &rig{e: e, reg: NewRegistry(), client: eps[0]}
 	r.pager = NewPager(r.client, r.reg)
-	for i := 0; i < nServers; i++ {
-		ep := mk(i+1, 256<<20)
+	for _, ep := range eps[1:] {
 		s := NewServer(ep, donateFrames)
 		r.servers = append(r.servers, s)
 		r.reg.Offer(s)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/nowproject/now/internal/netsim"
-	"github.com/nowproject/now/internal/node"
 	"github.com/nowproject/now/internal/obs"
 	"github.com/nowproject/now/internal/proto/am"
 	"github.com/nowproject/now/internal/sim"
@@ -47,13 +46,15 @@ func TestShardedLossInvariant(t *testing.T) {
 		sf.Part(p).Instrument(regs[p])
 	}
 	eps := make([]*am.Endpoint, nodes)
-	for i := 0; i < nodes; i++ {
-		p := pm.Part(netsim.NodeID(i))
-		e := se.Engine(p)
-		eps[i] = am.NewEndpoint(e, node.New(e, node.DefaultConfig(netsim.NodeID(i))), sf.Part(p), am.Config{HeaderBytes: 8, Window: 4})
-		eps[i].Register(0x21, func(p *sim.Proc, m am.Msg) (any, int) {
-			return m.Arg, 32
-		})
+	for p := 0; p < parts; p++ {
+		for i, ep := range am.NewFleet(sf.Part(p), am.Config{HeaderBytes: 8, Window: 4}, nil) {
+			if ep != nil {
+				ep.Register(0x21, func(p *sim.Proc, m am.Msg) (any, int) {
+					return m.Arg, 32
+				})
+				eps[i] = ep
+			}
+		}
 	}
 	for i := 0; i < nodes; i++ {
 		i := i

@@ -161,7 +161,12 @@ type Fabric struct {
 
 // New builds a fabric on e. Nodes must be positive; bandwidth must be
 // positive.
-func New(e *sim.Engine, cfg Config) (*Fabric, error) {
+func New(e *sim.Engine, cfg Config) (*Fabric, error) { return newFabric(e, cfg, nil) }
+
+// newFabric is the one fabric constructor. A non-nil cross makes it one
+// partition of a sharded fabric (shard.go), with tx links for local
+// nodes only.
+func newFabric(e *sim.Engine, cfg Config, cross *crossLink) (*Fabric, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("netsim: %d nodes", cfg.Nodes)
 	}
@@ -178,6 +183,7 @@ func New(e *sim.Engine, cfg Config) (*Fabric, error) {
 		eng:   e,
 		cfg:   cfg,
 		ports: make([][]Delivery, cfg.Nodes),
+		cross: cross,
 	}
 	f.deliverFn = f.deliverPacket
 	if t := cfg.Topo; t != nil {
@@ -187,14 +193,27 @@ func New(e *sim.Engine, cfg Config) (*Fabric, error) {
 	if cfg.Shared {
 		f.medium = sim.NewResource(e, cfg.Name+"/medium", 1)
 	} else {
+		prefix := cfg.Name
+		if cross != nil {
+			prefix = fmt.Sprintf("%s/p%d", cfg.Name, cross.part)
+		}
 		f.txLinks = make([]*sim.Resource, cfg.Nodes)
 		for i := range f.txLinks {
-			f.txLinks[i] = sim.NewResource(e, fmt.Sprintf("%s/tx%d", cfg.Name, i), 1)
+			if f.Local(NodeID(i)) {
+				f.txLinks[i] = sim.NewResource(e, fmt.Sprintf("%s/tx%d", prefix, i), 1)
+			}
 		}
 		f.rxFree = make([]sim.Time, cfg.Nodes)
 	}
 	return f, nil
 }
+
+// Engine returns the engine the fabric (or this partition of it) runs on.
+func (f *Fabric) Engine() *sim.Engine { return f.eng }
+
+// Local reports whether node n attaches through this fabric: always on
+// a flat fabric, only for its own nodes on a partition fabric.
+func (f *Fabric) Local(n NodeID) bool { return f.cross == nil || f.cross.pm.Local(n, f.cross.part) }
 
 // Nodes returns the number of attached workstations.
 func (f *Fabric) Nodes() int { return f.cfg.Nodes }

@@ -124,7 +124,7 @@ func NewSharded(se *sim.ShardedEngine, cfg Config, pm PartitionMap) (*ShardedFab
 	}
 	sf := &ShardedFabric{se: se, pm: pm, parts: make([]*Fabric, pm.Parts())}
 	for p := range sf.parts {
-		f, err := newPart(se, cfg, pm, p)
+		f, err := newFabric(se.Engine(p), cfg, &crossLink{se: se, pm: pm, part: p})
 		if err != nil {
 			return nil, err
 		}
@@ -132,38 +132,6 @@ func NewSharded(se *sim.ShardedEngine, cfg Config, pm PartitionMap) (*ShardedFab
 		se.OnDeliver(p, f.injectCross)
 	}
 	return sf, nil
-}
-
-// newPart builds partition p's fabric slice: full-size node-indexed
-// tables, but tx links exist only for local nodes (a remote node never
-// transmits here) and the rx horizon is only ever consulted for local
-// destinations.
-func newPart(se *sim.ShardedEngine, cfg Config, pm PartitionMap, p int) (*Fabric, error) {
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("netsim: %d nodes", cfg.Nodes)
-	}
-	if cfg.BandwidthMbps <= 0 {
-		return nil, fmt.Errorf("netsim: bandwidth %v Mb/s", cfg.BandwidthMbps)
-	}
-	if cfg.LossProb < 0 || cfg.LossProb >= 1 {
-		return nil, fmt.Errorf("netsim: loss probability %v", cfg.LossProb)
-	}
-	e := se.Engine(p)
-	f := &Fabric{
-		eng:   e,
-		cfg:   cfg,
-		ports: make([][]Delivery, cfg.Nodes),
-		cross: &crossLink{se: se, pm: pm, part: p},
-	}
-	f.deliverFn = f.deliverPacket
-	f.txLinks = make([]*sim.Resource, cfg.Nodes)
-	for i := range f.txLinks {
-		if pm.Local(NodeID(i), p) {
-			f.txLinks[i] = sim.NewResource(e, fmt.Sprintf("%s/p%d/tx%d", cfg.Name, p, i), 1)
-		}
-	}
-	f.rxFree = make([]sim.Time, cfg.Nodes)
-	return f, nil
 }
 
 // Part returns partition p's fabric. Protocol layers for nodes in p bind

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/nowproject/now/internal/netsim"
-	"github.com/nowproject/now/internal/node"
 	"github.com/nowproject/now/internal/proto/am"
 	"github.com/nowproject/now/internal/sim"
 )
@@ -33,13 +32,15 @@ func runShardedAM(t *testing.T, nodes, parts, workers, rounds int, seed int64) (
 	}
 	acfg := am.Config{HeaderBytes: 8, Window: 4}
 	eps := make([]*am.Endpoint, nodes)
-	for i := 0; i < nodes; i++ {
-		p := pm.Part(netsim.NodeID(i))
-		e := se.Engine(p)
-		eps[i] = am.NewEndpoint(e, node.New(e, node.DefaultConfig(netsim.NodeID(i))), sf.Part(p), acfg)
-		eps[i].Register(0x10, func(p *sim.Proc, m am.Msg) (any, int) {
-			return m.Arg, 16
-		})
+	for p := 0; p < parts; p++ {
+		for i, ep := range am.NewFleet(sf.Part(p), acfg, nil) {
+			if ep != nil {
+				ep.Register(0x10, func(p *sim.Proc, m am.Msg) (any, int) {
+					return m.Arg, 16
+				})
+				eps[i] = ep
+			}
+		}
 	}
 	done := make([]sim.Time, nodes)
 	for i := 0; i < nodes; i++ {
@@ -125,6 +126,21 @@ func TestShardedFabricGuards(t *testing.T) {
 	}
 	if _, err := netsim.NewSharded(se, netsim.Myrinet(8), netsim.SplitEven(8, 4)); err == nil {
 		t.Error("partition-count mismatch should fail")
+	}
+	// Partition fabrics share netsim.New's constructor, so its parameter
+	// checks reject them with the same text.
+	zeroBW := netsim.Myrinet(8)
+	zeroBW.BandwidthMbps = 0
+	lossy := netsim.Myrinet(8)
+	lossy.LossProb = 1
+	for _, cfg := range []netsim.Config{zeroBW, lossy} {
+		e := sim.NewEngine(1)
+		_, flatErr := netsim.New(e, cfg)
+		e.Close()
+		_, err := netsim.NewSharded(se, cfg, pm)
+		if flatErr == nil || err == nil || err.Error() != flatErr.Error() {
+			t.Errorf("bandwidth %v, loss %v: sharded error %v, flat error %v", cfg.BandwidthMbps, cfg.LossProb, err, flatErr)
+		}
 	}
 }
 

@@ -293,6 +293,26 @@ func NewEndpoint(e *sim.Engine, n *node.Node, fab *netsim.Fabric, cfg Config) *E
 	return ep
 }
 
+// NewFleet builds a workstation and its endpoint for every node fab
+// attaches, indexed by node id; on a partition fabric the other
+// partitions' nodes are nil. A nil nodeCfg means node.DefaultConfig.
+// It is the one place a fleet is built: node i's CPU, then its AM
+// loops, in ascending node order fix process ids and same-instant
+// event order.
+func NewFleet(fab *netsim.Fabric, cfg Config, nodeCfg func(netsim.NodeID) node.Config) []*Endpoint {
+	if nodeCfg == nil {
+		nodeCfg = node.DefaultConfig
+	}
+	e := fab.Engine()
+	eps := make([]*Endpoint, fab.Nodes())
+	for i := range eps {
+		if id := netsim.NodeID(i); fab.Local(id) {
+			eps[i] = NewEndpoint(e, node.New(e, nodeCfg(id)), fab, cfg)
+		}
+	}
+	return eps
+}
+
 // Node returns the endpoint's host.
 func (ep *Endpoint) Node() *node.Node { return ep.node }
 

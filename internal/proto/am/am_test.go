@@ -9,19 +9,14 @@ import (
 	"github.com/nowproject/now/internal/sim"
 )
 
-// testNet builds n nodes with AM endpoints on the given fabric config.
-func testNet(t testing.TB, e *sim.Engine, n int, fcfg netsim.Config, acfg Config) (*netsim.Fabric, []*Endpoint) {
+// testNet builds a fleet of AM endpoints on the given fabric config.
+func testNet(t testing.TB, e *sim.Engine, fcfg netsim.Config, acfg Config) (*netsim.Fabric, []*Endpoint) {
 	t.Helper()
 	fab, err := netsim.New(e, fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps := make([]*Endpoint, n)
-	for i := 0; i < n; i++ {
-		nd := node.New(e, node.DefaultConfig(netsim.NodeID(i)))
-		eps[i] = NewEndpoint(e, nd, fab, acfg)
-	}
-	return fab, eps
+	return fab, NewFleet(fab, acfg, nil)
 }
 
 const (
@@ -32,7 +27,7 @@ const (
 
 func TestCallRoundTrip(t *testing.T) {
 	e := sim.NewEngine(1)
-	_, eps := testNet(t, e, 2, netsim.Myrinet(2), DefaultConfig())
+	_, eps := testNet(t, e, netsim.Myrinet(2), DefaultConfig())
 	eps[1].Register(hEcho, func(p *sim.Proc, m Msg) (any, int) {
 		return m.Arg.(int) * 2, 8
 	})
@@ -57,7 +52,7 @@ func TestSmallMessageMeetsNOWTarget(t *testing.T) {
 	// The paper's goal: user-to-user small message in ≈10 µs. One-way
 	// time = send overhead + wire + latency + recv overhead.
 	e := sim.NewEngine(1)
-	_, eps := testNet(t, e, 2, netsim.Myrinet(2), DefaultConfig())
+	_, eps := testNet(t, e, netsim.Myrinet(2), DefaultConfig())
 	var oneWay sim.Duration
 	eps[1].Register(hEcho, func(p *sim.Proc, m Msg) (any, int) {
 		oneWay = p.Now() - m.Arg.(sim.Time)
@@ -81,7 +76,7 @@ func TestRetryRecoversFromLoss(t *testing.T) {
 	e := sim.NewEngine(3)
 	fcfg := netsim.Myrinet(2)
 	fcfg.LossProb = 0.25
-	_, eps := testNet(t, e, 2, fcfg, DefaultConfig())
+	_, eps := testNet(t, e, fcfg, DefaultConfig())
 	handled := 0
 	eps[1].Register(hCount, func(p *sim.Proc, m Msg) (any, int) {
 		handled++
@@ -118,7 +113,7 @@ func TestDuplicateSuppressionReusesCachedReply(t *testing.T) {
 	e := sim.NewEngine(11)
 	fcfg := netsim.Myrinet(2)
 	fcfg.LossProb = 0.4
-	_, eps := testNet(t, e, 2, fcfg, DefaultConfig())
+	_, eps := testNet(t, e, fcfg, DefaultConfig())
 	executions := 0
 	eps[1].Register(hCount, func(p *sim.Proc, m Msg) (any, int) {
 		executions++
@@ -150,7 +145,7 @@ func TestCallToDetachedNodeTimesOut(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RetryTimeout = 100 * sim.Microsecond
 	cfg.MaxRetries = 3
-	_, eps := testNet(t, e, 2, netsim.Myrinet(2), cfg)
+	_, eps := testNet(t, e, netsim.Myrinet(2), cfg)
 	eps[1].Detach()
 	var err error
 	e.Spawn("caller", func(p *sim.Proc) {
@@ -172,7 +167,7 @@ func TestSendAsyncWindowLimitsOutstanding(t *testing.T) {
 	e := sim.NewEngine(1)
 	cfg := DefaultConfig()
 	cfg.Window = 4
-	_, eps := testNet(t, e, 2, netsim.Myrinet(2), cfg)
+	_, eps := testNet(t, e, netsim.Myrinet(2), cfg)
 	received := 0
 	eps[1].Register(hCount, func(p *sim.Proc, m Msg) (any, int) {
 		// Slow receiver: each message costs real CPU, so processing
@@ -211,7 +206,7 @@ func TestBufferOverflowDropsAndRetryRecovers(t *testing.T) {
 	cfg.RecvOverhead = 20 * sim.Microsecond // slow protocol processing: arrivals outpace the drain
 	cfg.RetryTimeout = 200 * sim.Microsecond
 	cfg.MaxRetries = 50
-	_, eps := testNet(t, e, 2, netsim.Myrinet(2), cfg)
+	_, eps := testNet(t, e, netsim.Myrinet(2), cfg)
 	received := 0
 	eps[1].Register(hCount, func(p *sim.Proc, m Msg) (any, int) {
 		eps[1].Node().CPU.Compute(p, 30*sim.Microsecond) // slow drain
@@ -240,7 +235,7 @@ func TestNestedCallFromHandler(t *testing.T) {
 	// A handler on node 1 calls node 2 before replying — the pattern the
 	// cooperative cache and xFS manager use constantly.
 	e := sim.NewEngine(1)
-	_, eps := testNet(t, e, 3, netsim.Myrinet(3), DefaultConfig())
+	_, eps := testNet(t, e, netsim.Myrinet(3), DefaultConfig())
 	eps[2].Register(hEcho, func(p *sim.Proc, m Msg) (any, int) {
 		return m.Arg.(int) + 100, 4
 	})
@@ -266,7 +261,7 @@ func TestNestedCallFromHandler(t *testing.T) {
 
 func TestUnregisteredHandlerActsAsAck(t *testing.T) {
 	e := sim.NewEngine(1)
-	_, eps := testNet(t, e, 2, netsim.Myrinet(2), DefaultConfig())
+	_, eps := testNet(t, e, netsim.Myrinet(2), DefaultConfig())
 	var err error
 	e.Spawn("caller", func(p *sim.Proc) {
 		err = eps[0].Send(p, 1, HandlerID(99), nil, 4)
@@ -283,7 +278,7 @@ func TestUnregisteredHandlerActsAsAck(t *testing.T) {
 func TestOverheadChargedToCPU(t *testing.T) {
 	e := sim.NewEngine(1)
 	cfg := HPAMConfig()
-	_, eps := testNet(t, e, 2, netsim.FDDI100(2), cfg)
+	_, eps := testNet(t, e, netsim.FDDI100(2), cfg)
 	eps[1].Register(hEcho, func(p *sim.Proc, m Msg) (any, int) { return nil, 0 })
 	e.Spawn("caller", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {

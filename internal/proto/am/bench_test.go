@@ -14,7 +14,7 @@ import (
 // objects one request costs end to end.
 func BenchmarkCallRoundTrip(b *testing.B) {
 	e := sim.NewEngine(1)
-	_, eps := testNet(b, e, 2, netsim.Myrinet(2), DefaultConfig())
+	_, eps := testNet(b, e, netsim.Myrinet(2), DefaultConfig())
 	eps[1].Register(hEcho, func(p *sim.Proc, m Msg) (any, int) { return m.Arg, 8 })
 	var err error
 	e.Spawn("caller", func(p *sim.Proc) {

@@ -5,13 +5,8 @@ import (
 	"testing"
 
 	"github.com/nowproject/now/internal/netsim"
-	"github.com/nowproject/now/internal/node"
 	"github.com/nowproject/now/internal/sim"
 )
-
-func newTestNode(e *sim.Engine, id netsim.NodeID) *node.Node {
-	return node.New(e, node.DefaultConfig(id))
-}
 
 // TestExactlyOnceUnderLossProperty: across seeds and loss rates, every
 // Call eventually succeeds, the handler runs exactly once per distinct
@@ -25,14 +20,10 @@ func TestExactlyOnceUnderLossProperty(t *testing.T) {
 				e := sim.NewEngine(seed)
 				fcfg := netsim.Myrinet(2)
 				fcfg.LossProb = loss
-				fab, err := netsim.New(e, fcfg)
-				if err != nil {
-					t.Fatal(err)
-				}
 				cfg := DefaultConfig()
 				cfg.MaxRetries = 30
-				a := NewEndpoint(e, newTestNode(e, 0), fab, cfg)
-				b := NewEndpoint(e, newTestNode(e, 1), fab, cfg)
+				_, eps := testNet(t, e, fcfg, cfg)
+				a, b := eps[0], eps[1]
 				executions := map[int]int{}
 				b.Register(hEcho, func(p *sim.Proc, m Msg) (any, int) {
 					i := m.Arg.(int)
@@ -76,12 +67,8 @@ func TestExactlyOnceUnderLossProperty(t *testing.T) {
 // pending traffic promptly so orchestration layers unwedge.
 func TestDetachFailsOutstandingSends(t *testing.T) {
 	e := sim.NewEngine(1)
-	fab, err := netsim.New(e, netsim.ATM155(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewEndpoint(e, newTestNode(e, 0), fab, DefaultConfig())
-	NewEndpoint(e, newTestNode(e, 1), fab, DefaultConfig())
+	_, eps := testNet(t, e, netsim.ATM155(2), DefaultConfig())
+	a := eps[0]
 	var flushDone sim.Time
 	e.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < 8; i++ {
@@ -106,9 +93,8 @@ func TestDetachFailsOutstandingSends(t *testing.T) {
 	}
 	// Sends after detach fail synchronously.
 	e2 := sim.NewEngine(1)
-	fab2, _ := netsim.New(e2, netsim.ATM155(2))
-	c := NewEndpoint(e2, newTestNode(e2, 0), fab2, DefaultConfig())
-	NewEndpoint(e2, newTestNode(e2, 1), fab2, DefaultConfig())
+	_, eps2 := testNet(t, e2, netsim.ATM155(2), DefaultConfig())
+	c := eps2[0]
 	c.Detach()
 	var postErr error
 	e2.Spawn("s", func(p *sim.Proc) {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/nowproject/now/internal/netsim"
-	"github.com/nowproject/now/internal/node"
 	"github.com/nowproject/now/internal/obs"
 	"github.com/nowproject/now/internal/proto/am"
 	"github.com/nowproject/now/internal/sim"
@@ -20,11 +19,7 @@ func rig(t testing.TB, e *sim.Engine, n int, ccfg Config) (*netsim.Fabric, []*am
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps := make([]*am.Endpoint, n)
-	for i := 0; i < n; i++ {
-		nd := node.New(e, node.DefaultConfig(netsim.NodeID(i)))
-		eps[i] = am.NewEndpoint(e, nd, fab, am.DefaultConfig())
-	}
+	eps := am.NewFleet(fab, am.DefaultConfig(), nil)
 	c, err := New(e, eps, ccfg)
 	if err != nil {
 		t.Fatal(err)
@@ -251,25 +246,9 @@ func collectiveScenario(t testing.TB, n int) []byte {
 	defer e.Close()
 	reg := obs.NewRegistry()
 	e.Observe(reg)
-	fab, eps, c := func() (*netsim.Fabric, []*am.Endpoint, *Comm) {
-		fab, err := netsim.New(e, netsim.Myrinet(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		eps := make([]*am.Endpoint, n)
-		for i := 0; i < n; i++ {
-			nd := node.New(e, node.DefaultConfig(netsim.NodeID(i)))
-			eps[i] = am.NewEndpoint(e, nd, fab, am.DefaultConfig())
-		}
-		c, err := New(e, eps, DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fab, eps, c
-	}()
+	fab, _, c := rig(t, e, n, DefaultConfig())
 	fab.Instrument(reg)
 	c.Instrument(reg)
-	_ = eps
 	var procErr error
 	for r := 0; r < n; r++ {
 		r := r

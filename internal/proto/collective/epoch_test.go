@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/nowproject/now/internal/netsim"
-	"github.com/nowproject/now/internal/node"
 	"github.com/nowproject/now/internal/proto/am"
 	"github.com/nowproject/now/internal/sim"
 )
@@ -38,11 +37,7 @@ func TestEpochIsolationUnderRetryChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps := make([]*am.Endpoint, n)
-	for i := 0; i < n; i++ {
-		nd := node.New(e, node.DefaultConfig(netsim.NodeID(i)))
-		eps[i] = am.NewEndpoint(e, nd, fab, am.DefaultConfig())
-	}
+	eps := am.NewFleet(fab, am.DefaultConfig(), nil)
 	c, err := New(e, eps, Config{Arity: 2})
 	if err != nil {
 		t.Fatal(err)

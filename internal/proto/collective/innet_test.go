@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/nowproject/now/internal/netsim"
-	"github.com/nowproject/now/internal/node"
 	"github.com/nowproject/now/internal/obs"
 	"github.com/nowproject/now/internal/proto/am"
 	"github.com/nowproject/now/internal/sim"
@@ -25,12 +24,7 @@ func rigTopo(t testing.TB, e *sim.Engine, n int, topoName string, ccfg Config) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps := make([]*am.Endpoint, n)
-	for i := 0; i < n; i++ {
-		nd := node.New(e, node.DefaultConfig(netsim.NodeID(i)))
-		eps[i] = am.NewEndpoint(e, nd, fab, am.DefaultConfig())
-	}
-	c, err := New(e, eps, ccfg)
+	c, err := New(e, am.NewFleet(fab, am.DefaultConfig(), nil), ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}

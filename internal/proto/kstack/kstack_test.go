@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/nowproject/now/internal/netsim"
-	"github.com/nowproject/now/internal/node"
 	"github.com/nowproject/now/internal/proto/am"
 	"github.com/nowproject/now/internal/sim"
 )
@@ -21,8 +20,8 @@ func oneWay(t *testing.T, fcfg netsim.Config, scfg am.Config, bytes int) sim.Dur
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := am.NewEndpoint(e, node.New(e, node.DefaultConfig(0)), fab, scfg)
-	b := am.NewEndpoint(e, node.New(e, node.DefaultConfig(1)), fab, scfg)
+	eps := am.NewFleet(fab, scfg, nil)
+	a, b := eps[0], eps[1]
 	var got sim.Duration
 	b.Register(hSink, func(p *sim.Proc, m am.Msg) (any, int) {
 		got = p.Now() - m.Arg.(sim.Time)

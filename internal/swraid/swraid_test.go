@@ -29,15 +29,11 @@ func newRaidRig(t *testing.T, level Level, nStores, chunkBytes int) *raidRig {
 	acfg := am.DefaultConfig()
 	acfg.RetryTimeout = 500 * sim.Microsecond
 	acfg.MaxRetries = 3
-	r := &raidRig{e: e}
+	r := &raidRig{e: e, eps: am.NewFleet(fab, acfg, nil)}
 	ids := make([]netsim.NodeID, 0, nStores)
-	for i := 0; i <= nStores; i++ {
-		ep := am.NewEndpoint(e, node.New(e, node.DefaultConfig(netsim.NodeID(i))), fab, acfg)
-		r.eps = append(r.eps, ep)
-		if i > 0 {
-			r.stores = append(r.stores, NewStore(ep))
-			ids = append(ids, ep.ID())
-		}
+	for _, ep := range r.eps[1:] {
+		r.stores = append(r.stores, NewStore(ep))
+		ids = append(ids, ep.ID())
 	}
 	arr, err := NewArray(r.eps[0], Config{Level: level, ChunkBytes: chunkBytes, Stores: ids})
 	if err != nil {

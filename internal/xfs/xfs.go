@@ -33,7 +33,6 @@ import (
 
 	"github.com/nowproject/now/internal/lru"
 	"github.com/nowproject/now/internal/netsim"
-	"github.com/nowproject/now/internal/node"
 	"github.com/nowproject/now/internal/obs"
 	"github.com/nowproject/now/internal/proto/am"
 	"github.com/nowproject/now/internal/sim"
@@ -222,13 +221,10 @@ func New(e *sim.Engine, cfg Config) (*System, error) {
 	if cfg.SpareNodes < 0 || cfg.Nodes-cfg.SpareNodes < 3 {
 		return nil, fmt.Errorf("xfs: %d spares leaves too few stripe members", cfg.SpareNodes)
 	}
-	sys := &System{cfg: cfg, eng: e, fab: fab}
+	sys := &System{cfg: cfg, eng: e, fab: fab, eps: am.NewFleet(fab, cfg.Proto, nil)}
 	stripeMembers := cfg.Nodes - cfg.SpareNodes
 	storeIDs := make([]netsim.NodeID, 0, stripeMembers)
-	for i := 0; i < cfg.Nodes; i++ {
-		nd := node.New(e, node.DefaultConfig(netsim.NodeID(i)))
-		ep := am.NewEndpoint(e, nd, fab, cfg.Proto)
-		sys.eps = append(sys.eps, ep)
+	for i, ep := range sys.eps {
 		sys.stores = append(sys.stores, swraid.NewStore(ep))
 		if i < stripeMembers {
 			storeIDs = append(storeIDs, ep.ID())

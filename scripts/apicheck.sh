@@ -11,6 +11,10 @@
 #
 # Matching includes the leading quote so that test data quoting go test
 # output (which names internal packages) does not trip the gate.
+#
+# Fleets are built only by am.NewFleet, whose order fixes process ids:
+# non-test code in internal/ and cmd/ may not call am.NewEndpoint or
+# node.New outside internal/proto/am (the facade, now_net.go, may).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,7 +34,14 @@ if bad=$(grep -rn --include='*.go' "$pattern" cmd | grep -Ev "$allow"); then
 	fail=1
 fi
 
+if bad=$(grep -rnE --include='*.go' --exclude='*_test.go' '(^|[^[:alnum:]_])(am\.NewEndpoint|node\.New)\(' internal cmd |
+	grep -v '^internal/proto/am/'); then
+	echo "apicheck: build fleets with am.NewFleet, not am.NewEndpoint/node.New:" >&2
+	echo "$bad" >&2
+	fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "apicheck: examples/ and cmd/ respect the public API surface"
+echo "apicheck: examples/ and cmd/ respect the public API surface; fleets build through am.NewFleet"
