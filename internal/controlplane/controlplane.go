@@ -28,19 +28,18 @@ import (
 // are required; everything else is optional — a nil XFS disables the
 // storage surface, a nil Registry disables metrics and spans.
 //
-// XFSTarget and Injector exist so the control plane can share state
-// with a pre-built fault pipeline: an obs registry panics on duplicate
-// metric names, so a run that already made a faults.Injector must pass
-// it here rather than let New build a second one; likewise a shared
-// XFSTarget keeps live rebuilds and plan rebuilds drawing hot spares
-// from one pool. When nil, New builds its own from Engine/XFS/Registry.
+// Injector exists so the control plane can share a pre-built fault
+// pipeline: an obs registry panics on duplicate metric names, so a run
+// that already made a faults.Injector must pass it here rather than let
+// New build a second one. When nil, New builds its own from
+// Engine/Cluster/XFS/Registry. Hot spares need no sharing: XFS owns the
+// free-spare list, so live and plan rebuilds always draw from one pool.
 type Config struct {
-	Engine    *sim.Engine
-	Cluster   *glunix.Cluster
-	XFS       *xfs.System
-	XFSTarget *faults.XFSTarget
-	Injector  *faults.Injector
-	Registry  *obs.Registry
+	Engine   *sim.Engine
+	Cluster  *glunix.Cluster
+	XFS      *xfs.System
+	Injector *faults.Injector
+	Registry *obs.Registry
 }
 
 // NodeStatus describes one workstation to the operator.
@@ -75,7 +74,6 @@ type ClusterStatus struct {
 // single-threaded by design.
 type ControlPlane struct {
 	cfg Config
-	tgt *faults.XFSTarget
 	inj *faults.Injector
 
 	commands  *obs.Counter
@@ -91,14 +89,13 @@ type ControlPlane struct {
 }
 
 // New builds a control plane over cfg. See Config for the sharing
-// contract on XFSTarget/Injector.
+// contract on Injector.
 func New(cfg Config) (*ControlPlane, error) {
 	if cfg.Engine == nil || cfg.Cluster == nil {
 		return nil, errors.New("controlplane: Engine and Cluster are required")
 	}
 	cp := &ControlPlane{
 		cfg:      cfg,
-		tgt:      cfg.XFSTarget,
 		inj:      cfg.Injector,
 		draining: make(map[int]bool),
 	}
@@ -111,13 +108,10 @@ func New(cfg Config) (*ControlPlane, error) {
 	cp.live = r.Counter("cp.faults.live")
 	cp.snapshots = r.Counter("cp.snapshots")
 	cp.cordoned = r.Gauge("cp.cordoned")
-	if cp.tgt == nil && cfg.XFS != nil {
-		cp.tgt = faults.NewXFSTarget(cfg.XFS)
-	}
 	if cp.inj == nil {
 		var tgt faults.Target = faults.ClusterTarget{C: cfg.Cluster}
-		if cp.tgt != nil {
-			tgt = faults.Combine(faults.ClusterTarget{C: cfg.Cluster}, cp.tgt)
+		if cfg.XFS != nil {
+			tgt = faults.Combine(tgt, faults.NewXFSTarget(cfg.XFS))
 		}
 		cp.inj = faults.NewInjector(cfg.Engine, tgt, faults.Plan{}, r)
 	}
@@ -165,10 +159,8 @@ func (cp *ControlPlane) Storage() []StoreStatus {
 		failed[n] = true
 	}
 	spare := make(map[int]bool)
-	if cp.tgt != nil {
-		for _, n := range cp.tgt.Spares() {
-			spare[n] = true
-		}
+	for _, n := range sys.Spares() {
+		spare[n] = true
 	}
 	out := make([]StoreStatus, sys.Nodes())
 	for n := range out {
@@ -207,9 +199,7 @@ func (cp *ControlPlane) Status() ClusterStatus {
 	if sys := cp.cfg.XFS; sys != nil {
 		st.XFSNodes = sys.Nodes()
 		st.FailedStores = sys.FailedStores()
-		if cp.tgt != nil {
-			st.SparesLeft = len(cp.tgt.Spares())
-		}
+		st.SparesLeft = len(sys.Spares())
 	}
 	return st
 }
@@ -317,10 +307,7 @@ func (cp *ControlPlane) DrainStorage(p *sim.Proc, node int) error {
 	}
 	sys.CrashStorage(node)
 	if inStripe {
-		if cp.tgt == nil {
-			return fmt.Errorf("controlplane: stripe member %d removed but no spare pool to rebuild from", node)
-		}
-		if _, err := cp.tgt.RebuildDisk(p, node, -1); err != nil {
+		if err := sys.RecoverStorage(p, node, -1); err != nil {
 			return fmt.Errorf("controlplane: drain of xfs node %d: %w", node, err)
 		}
 		cp.cfg.Registry.Annotate(sp, "stripe data rebuilt onto spare")

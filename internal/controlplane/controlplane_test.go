@@ -1,10 +1,16 @@
 package controlplane_test
 
 import (
+	"slices"
 	"testing"
 
+	"github.com/nowproject/now/internal/controlplane"
+	"github.com/nowproject/now/internal/faults"
+	"github.com/nowproject/now/internal/glunix"
+	"github.com/nowproject/now/internal/obs"
 	"github.com/nowproject/now/internal/sim"
 	"github.com/nowproject/now/internal/stack"
+	"github.com/nowproject/now/internal/xfs"
 )
 
 // buildStack is the shared test fixture: a small NOW with storage and
@@ -300,5 +306,68 @@ func TestInjectLineGrammar(t *testing.T) {
 	}
 	if got := counter(t, st, "cp.faults.live"); got != 2 {
 		t.Fatalf("cp.faults.live = %d, want 2", got)
+	}
+}
+
+// TestPlanAndDrainRebuildsTakeDistinctSpares: a plan rebuild through
+// the caller's injector and a later storage drain through a control
+// plane built by hand (no stack) draw from one hot-spare pool, so the
+// drain never rebuilds onto the spare the plan already used.
+func TestPlanAndDrainRebuildsTakeDistinctSpares(t *testing.T) {
+	e := sim.NewEngine(1)
+	t.Cleanup(e.Close)
+	reg := obs.NewRegistry()
+	xcfg := xfs.DefaultConfig(8)
+	xcfg.SpareNodes = 2
+	sys, err := xfs.New(e, xcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcfg := glunix.DefaultConfig(4)
+	gcfg.Obs = reg
+	c, err := glunix.New(e, gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := faults.Scripted("t",
+		faults.Fault{At: sim.Time(sim.Second), Kind: faults.DiskFail, Node: 2},
+		faults.Fault{At: sim.Time(2 * sim.Second), Kind: faults.Rebuild, Node: 2, Peer: -1},
+	)
+	inj := faults.NewInjector(e, faults.Combine(faults.ClusterTarget{C: c}, faults.NewXFSTarget(sys)), plan, reg)
+	inj.Schedule()
+	cp, err := controlplane.New(controlplane.Config{Engine: e, Cluster: c, XFS: sys, Injector: inj, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spares := []int{cp.Status().SparesLeft}
+
+	if err := e.RunUntil(sim.Time(10 * sim.Second)); err != nil {
+		t.Fatal(err)
+	}
+	spares = append(spares, cp.Status().SparesLeft)
+	planSpare := sys.StripeMembers()[2]
+	e.Spawn("test/drain-storage", func(p *sim.Proc) {
+		if err := cp.DrainStorage(p, 3); err != nil {
+			t.Errorf("DrainStorage(3): %v", err)
+		}
+	})
+	if err := e.RunUntil(sim.Time(20 * sim.Second)); err != nil {
+		t.Fatal(err)
+	}
+	spares = append(spares, cp.Status().SparesLeft)
+
+	stripe := sys.StripeMembers()
+	if drainSpare := stripe[3]; drainSpare == planSpare {
+		t.Errorf("plan rebuild and drain both used spare %d", planSpare)
+	}
+	seen := make(map[int]bool)
+	for _, n := range stripe {
+		if seen[n] {
+			t.Errorf("stripe %v names node %d twice", stripe, n)
+		}
+		seen[n] = true
+	}
+	if want := []int{2, 1, 0}; !slices.Equal(spares, want) {
+		t.Errorf("SparesLeft went %v, want %v", spares, want)
 	}
 }

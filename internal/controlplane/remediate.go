@@ -183,11 +183,11 @@ func (r *Remediator) sweepStorage() {
 		return
 	}
 	sys := r.cp.cfg.XFS
-	if sys == nil || r.cp.tgt == nil {
+	if sys == nil {
 		return
 	}
 	failed := sys.FailedStores()
-	if len(failed) == 0 || len(r.cp.tgt.Spares()) == 0 {
+	if len(failed) == 0 || len(sys.Spares()) == 0 {
 		return
 	}
 	node := failed[0]
@@ -202,7 +202,7 @@ func (r *Remediator) sweepStorage() {
 		if moved := sys.HandoffManagers(node); moved > 0 {
 			r.cp.cfg.Registry.Annotate(sp, fmt.Sprintf("%d manager(s) handed off first", moved))
 		}
-		if _, err := r.cp.tgt.RebuildDisk(p, node, -1); err != nil {
+		if err := sys.RecoverStorage(p, node, -1); err != nil {
 			r.rberrors.Inc()
 			r.cp.cfg.Registry.Annotate(sp, "error: "+err.Error())
 			return

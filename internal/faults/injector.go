@@ -1,16 +1,11 @@
 package faults
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/nowproject/now/internal/obs"
 	"github.com/nowproject/now/internal/sim"
 )
-
-// errNoSpare is surfaced by XFSTarget when a rebuild asks for an
-// auto-picked spare and the pool is exhausted.
-var errNoSpare = errors.New("faults: no unused hot spare left")
 
 // Injector executes a Plan against a Target by scheduling each fault
 // as an ordinary engine event — injection is part of the simulation's

@@ -114,25 +114,16 @@ func (t ClusterTarget) LinkClear(a, b int) bool {
 }
 
 // XFSTarget wires storage faults to an xFS installation: disk
-// fail-stop, rebuild onto hot spares, manager kill/failover. It tracks
-// which spares have been consumed so Rebuild with replacement -1 walks
-// the spare pool deterministically.
+// fail-stop, rebuild onto hot spares, manager kill/failover. The xFS
+// system owns the hot-spare list, so a rebuild with replacement -1 takes
+// the same next spare however many targets wrap the system.
 type XFSTarget struct {
 	BaseTarget
 	S *xfs.System
-
-	spares []int // unconsumed hot spares, in node order
 }
 
-// NewXFSTarget builds the adapter with the full spare pool.
-func NewXFSTarget(s *xfs.System) *XFSTarget {
-	return &XFSTarget{S: s, spares: s.SpareNodeIDs()}
-}
-
-// Spares returns the unconsumed hot-spare pool in consumption order.
-// A control plane shares this target with its injector so that live
-// rebuilds and plan rebuilds draw from one pool.
-func (t *XFSTarget) Spares() []int { return t.spares }
+// NewXFSTarget builds the adapter.
+func NewXFSTarget(s *xfs.System) *XFSTarget { return &XFSTarget{S: s} }
 
 func (t *XFSTarget) FailDisk(n int) bool {
 	if n < 0 || n >= t.S.Nodes() {
@@ -145,13 +136,6 @@ func (t *XFSTarget) FailDisk(n int) bool {
 func (t *XFSTarget) RebuildDisk(p *sim.Proc, failed, replacement int) (bool, error) {
 	if failed < 0 || failed >= t.S.Nodes() {
 		return false, nil
-	}
-	if replacement < 0 {
-		if len(t.spares) == 0 {
-			return true, errNoSpare
-		}
-		replacement = t.spares[0]
-		t.spares = t.spares[1:]
 	}
 	return true, t.S.RecoverStorage(p, failed, replacement)
 }

@@ -12,10 +12,11 @@
 //  1. xFS, instrumented. Its fabric claims the net.* metric names only
 //     when there is no cluster.
 //  2. GLUnix, instrumented on the caller's registry.
-//  3. When the spec has a fault plan or a remediation policy: one
-//     shared faults.XFSTarget, an injector over the combined
-//     cluster+storage target (its plan scheduled), and, with a policy,
-//     the control plane and its started (but disabled) remediator.
+//  3. When the spec has a fault plan or a remediation policy: an
+//     injector over the combined cluster+storage target (its plan
+//     scheduled), and, with a policy, the control plane and its started
+//     (but disabled) remediator. Both draw hot spares from the xFS
+//     system itself, so nothing else is shared.
 //
 // Callers schedule their workload after Build returns and register
 // checkpoints last, so a checkpoint sees every same-instant event.
@@ -97,16 +98,12 @@ func Build(e *sim.Engine, reg *obs.Registry, spec Spec) (*Stack, error) {
 		return st, nil
 	}
 
-	// One XFSTarget shared by the injector and the control plane, so
-	// live rebuilds and plan rebuilds draw the same spare pool.
-	var tgt *faults.XFSTarget
 	var tgts []faults.Target
 	if st.Cluster != nil {
 		tgts = append(tgts, faults.ClusterTarget{C: st.Cluster})
 	}
 	if st.XFS != nil {
-		tgt = faults.NewXFSTarget(st.XFS)
-		tgts = append(tgts, tgt)
+		tgts = append(tgts, faults.NewXFSTarget(st.XFS))
 	}
 	var plan faults.Plan
 	if spec.Faults != nil {
@@ -119,12 +116,11 @@ func Build(e *sim.Engine, reg *obs.Registry, spec Spec) (*Stack, error) {
 	}
 
 	cp, err := controlplane.New(controlplane.Config{
-		Engine:    e,
-		Cluster:   st.Cluster,
-		XFS:       st.XFS,
-		XFSTarget: tgt,
-		Injector:  st.Injector,
-		Registry:  reg,
+		Engine:   e,
+		Cluster:  st.Cluster,
+		XFS:      st.XFS,
+		Injector: st.Injector,
+		Registry: reg,
 	})
 	if err != nil {
 		return nil, err

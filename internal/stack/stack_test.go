@@ -2,6 +2,9 @@ package stack
 
 import (
 	"bytes"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 
 	"github.com/nowproject/now/internal/controlplane"
@@ -181,6 +184,54 @@ func TestServedDeterministic(t *testing.T) {
 	if !bytes.Contains(m1, []byte(`"remediate.cordons"`)) {
 		t.Fatal("served stack missing the remediator's metrics")
 	}
+}
+
+// TestMetricCatalogueDocumented: every metric a full stack registers
+// has a row in docs/OBSERVABILITY.md. The catalogue writes a vector
+// either as name{label} or as the bare name; both count.
+func TestMetricCatalogueDocumented(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := make(map[string]bool)
+	tick := regexp.MustCompile("`([^`]+)`")
+	for _, line := range strings.Split(string(doc), "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || cells[0] != "" {
+			continue
+		}
+		for _, m := range tick.FindAllStringSubmatch(cells[1], -1) {
+			documented[bareMetric(m[1])] = true
+		}
+	}
+
+	xcfg := xfs.DefaultConfig(8)
+	xcfg.SpareNodes = 2
+	gcfg := glunix.DefaultConfig(8)
+	plan := faults.Scripted("t",
+		faults.Fault{At: sim.Time(sim.Second), Kind: faults.DiskFail, Node: 2},
+		faults.Fault{At: sim.Time(2 * sim.Second), Kind: faults.Rebuild, Node: 2, Peer: -1},
+	)
+	pol := controlplane.DefaultRemediationPolicy()
+	_, reg := build(t, Spec{GLUnix: &gcfg, XFS: &xcfg, Faults: &plan, Remediation: &pol})
+	names := reg.MetricNames()
+	if len(names) == 0 {
+		t.Fatal("full stack registered no metrics")
+	}
+	for _, n := range names {
+		if !documented[bareMetric(n)] {
+			t.Errorf("metric %s has no row in docs/OBSERVABILITY.md", n)
+		}
+	}
+}
+
+// bareMetric strips a {label} suffix from a metric name.
+func bareMetric(name string) string {
+	if i := strings.IndexByte(name, '{'); i >= 0 {
+		return name[:i]
+	}
+	return name
 }
 
 func mustCounter(t *testing.T, reg *obs.Registry, name string) int64 {

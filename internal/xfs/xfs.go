@@ -29,6 +29,7 @@
 package xfs
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/nowproject/now/internal/lru"
@@ -71,8 +72,8 @@ type Config struct {
 	Nodes int
 	// SpareNodes at the end of the id range run storage servers but are
 	// left out of the initial stripe group — hot spares for
-	// RecoverStorage. Zero is fine; recovery then needs an external
-	// replacement.
+	// RecoverStorage, which hands them out in node order. Zero is fine;
+	// recovery then needs an external replacement.
 	SpareNodes int
 	// Managers is the size of the manager set.
 	Managers int
@@ -171,6 +172,9 @@ type System struct {
 	// down marks crashed nodes: never chosen as a manager host or
 	// standby again.
 	down map[int]bool
+	// spares is the only record of which hot spares are still free, in
+	// node order; every rebuild onto a listed node takes it off.
+	spares []int
 
 	stats Stats
 	obs   *obs.Registry // nil unless Instrument attached a registry
@@ -249,6 +253,9 @@ func New(e *sim.Engine, cfg Config) (*System, error) {
 		sys.clients = append(sys.clients, c)
 	}
 	sys.down = make(map[int]bool)
+	for i := stripeMembers; i < cfg.Nodes; i++ {
+		sys.spares = append(sys.spares, i)
+	}
 	sys.managers = make([]*manager, cfg.Managers)
 	sys.replicas = make([]map[BlockKey]*blockMeta, cfg.Managers)
 	for i := 0; i < cfg.Managers; i++ {
@@ -286,15 +293,9 @@ func (sys *System) ManagerNode(idx int) int {
 	return sys.managers[idx].node
 }
 
-// SpareNodeIDs lists the configured hot-spare nodes: storage servers
-// outside the initial stripe group, available to RecoverStorage.
-func (sys *System) SpareNodeIDs() []int {
-	ids := make([]int, 0, sys.cfg.SpareNodes)
-	for i := sys.cfg.Nodes - sys.cfg.SpareNodes; i < sys.cfg.Nodes; i++ {
-		ids = append(ids, i)
-	}
-	return ids
-}
+// Spares lists the hot spares no rebuild has used yet, in node order:
+// the nodes RecoverStorage(p, failed, -1) will pick, first to last.
+func (sys *System) Spares() []int { return append([]int(nil), sys.spares...) }
 
 // NodeDown reports whether node n has been removed from the
 // installation (crashed, drained, or killed with its manager).
@@ -386,49 +387,9 @@ func (sys *System) HandoffManagers(node int) int {
 	return moved
 }
 
-// DrainNode removes node from the installation gracefully: manager
-// roles hand off to standbys first, then — if the node is an active
-// stripe member — its data is reconstructed onto spare before the node
-// detaches. spare is ignored when the node holds no stripe data; pass
-// the next unconsumed hot spare (see faults.XFSTarget) otherwise.
-// This is the storage half of a control-plane drain.
-func (sys *System) DrainNode(p *sim.Proc, node, spare int) error {
-	if node < 0 || node >= len(sys.eps) {
-		return fmt.Errorf("xfs: drain node %d out of range", node)
-	}
-	if sys.down[node] {
-		return fmt.Errorf("xfs: node %d already removed", node)
-	}
-	sys.HandoffManagers(node)
-	inStripe := false
-	for _, m := range sys.StripeMembers() {
-		if m == node {
-			inStripe = true
-			break
-		}
-	}
-	// Removing the node marks its store failed in every layout; for a
-	// stripe member the rebuild below then reconstructs onto the spare.
-	sys.CrashStorage(node)
-	if !inStripe {
-		return nil
-	}
-	if spare < 0 || spare >= len(sys.eps) {
-		return fmt.Errorf("xfs: drain of stripe member %d needs a spare", node)
-	}
-	return sys.RecoverStorage(p, node, spare)
-}
-
 // managerOf maps a file to its manager index (the manager map).
 func (sys *System) managerOf(f FileID) *manager {
 	return sys.managers[int(f)%sys.cfg.Managers]
-}
-
-// standbyNode returns where manager m's replica lives. The standby is
-// initially the next node after the manager's host and is re-pointed
-// when either node crashes (see retargetStandbys).
-func (sys *System) standbyNode(m *manager) int {
-	return m.standby
 }
 
 // nextAlive returns the first node after n (cyclically) that is not
@@ -471,26 +432,39 @@ func (sys *System) maxLogicalChunk() int64 {
 			max = top
 		}
 	}
-	for i, rep := range sys.replicas {
+	for _, rep := range sys.replicas {
 		for _, bm := range rep {
 			if bm.addr > max {
 				max = bm.addr
 			}
 		}
-		_ = i
 	}
 	return max
 }
+
+// ErrNoSpare is returned by RecoverStorage when it is asked to pick a
+// hot spare and every one has already been used.
+var ErrNoSpare = errors.New("xfs: no unused hot spare left")
 
 // RecoverStorage rebuilds the data a crashed store held onto spare
 // (which must run a Store — the hot spares configured with SpareNodes
 // do) and switches every client's array to the new layout — the paper's
 // "if one workstation in the NOW crashes, any other can take its
 // place". After recovery the array tolerates another single failure.
+// A negative spare takes the next free hot spare (ErrNoSpare when none
+// is left); a named spare is taken off the free list too. Either way the
+// spare counts as used from the moment the rebuild starts.
 func (sys *System) RecoverStorage(p *sim.Proc, failed, spare int) error {
+	if spare < 0 && failed >= 0 && failed < len(sys.eps) {
+		if len(sys.spares) == 0 {
+			return ErrNoSpare
+		}
+		spare = sys.spares[0]
+	}
 	if failed < 0 || failed >= len(sys.eps) || spare < 0 || spare >= len(sys.eps) {
 		return fmt.Errorf("xfs: recover %d→%d out of range", failed, spare)
 	}
+	sys.takeSpare(spare)
 	failedID := sys.eps[failed].ID()
 	spareID := sys.eps[spare].ID()
 	// One live client performs the reconstruction writes...
@@ -522,6 +496,16 @@ func (sys *System) RecoverStorage(p *sim.Proc, failed, spare int) error {
 		}
 	}
 	return nil
+}
+
+// takeSpare removes n from the free hot-spare list, if it is there.
+func (sys *System) takeSpare(n int) {
+	for i, s := range sys.spares {
+		if s == n {
+			sys.spares = append(sys.spares[:i], sys.spares[i+1:]...)
+			return
+		}
+	}
 }
 
 // CrashStorage simulates the fail-stop crash of a (non-manager) node:
@@ -569,7 +553,7 @@ func (sys *System) FailManager(p *sim.Proc, idx int) {
 	sys.down[dead] = true
 	// The standby adopts the replica and becomes the manager, then
 	// picks a fresh standby of its own.
-	m.node = sys.standbyNode(m)
+	m.node = m.standby
 	m.standby = sys.nextAlive(m.node, m.node)
 	m.meta = sys.replicas[idx]
 	sys.replicas[idx] = make(map[BlockKey]*blockMeta)
@@ -609,7 +593,7 @@ func (sys *System) registerManagerHandlers() {
 		})
 	}
 	for i := range sys.managers {
-		standby := sys.standbyNode(sys.managers[i])
+		standby := sys.managers[i].standby
 		sys.eps[standby].Register(hMetaRepl, func(p *sim.Proc, msg am.Msg) (any, int) {
 			upd, ok := msg.Arg.(replUpdate)
 			if !ok {
@@ -651,7 +635,6 @@ type replUpdate struct {
 // xFS trades a window of vulnerability for latency, like its log-based
 // original; Sync publication points are the durable ones).
 func (m *manager) replicate(p *sim.Proc, key BlockKey, bm *blockMeta) {
-	standby := m.sys.standbyNode(m)
-	m.sys.eps[m.node].SendAsync(p, netsim.NodeID(standby), hMetaRepl,
+	m.sys.eps[m.node].SendAsync(p, netsim.NodeID(m.standby), hMetaRepl,
 		replUpdate{manager: m.idx, key: key, meta: bm.clone()}, 64)
 }

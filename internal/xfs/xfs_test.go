@@ -3,6 +3,7 @@ package xfs
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/nowproject/now/internal/sim"
@@ -266,6 +267,64 @@ func TestManagerFailover(t *testing.T) {
 	if sys.Stats().Failovers != 1 {
 		t.Fatalf("stats: %+v", sys.Stats())
 	}
+}
+
+// TestRecoverStorageSpareList: rebuilds draw hot spares in node order,
+// a named spare leaves the free list too, and a rebuild with none left
+// fails with ErrNoSpare without touching the stripe.
+func TestRecoverStorageSpareList(t *testing.T) {
+	e := sim.NewEngine(1)
+	cfg := DefaultConfig(8)
+	cfg.BlockBytes = 1024
+	cfg.SpareNodes = 2
+	sys, err := New(e, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.Spares(); !slices.Equal(got, []int{6, 7}) {
+		t.Fatalf("fresh spares %v, want [6 7]", got)
+	}
+	want := fill(1024, 9)
+	drive(t, e, func(p *sim.Proc) {
+		if err := sys.Client(0).Write(p, 1, 0, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Client(0).Sync(p); err != nil {
+			t.Fatal(err)
+		}
+		sys.CrashStorage(2)
+		if err := sys.RecoverStorage(p, 2, -1); err != nil {
+			t.Fatalf("rebuild onto next spare: %v", err)
+		}
+		if got := sys.Spares(); !slices.Equal(got, []int{7}) {
+			t.Fatalf("after first rebuild spares %v, want [7]", got)
+		}
+		sys.CrashStorage(3)
+		if err := sys.RecoverStorage(p, 3, 7); err != nil {
+			t.Fatalf("rebuild onto named spare: %v", err)
+		}
+		if got := sys.Spares(); len(got) != 0 {
+			t.Fatalf("named spare still free: %v", got)
+		}
+		if got, want := sys.StripeMembers(), []int{0, 1, 6, 7, 4, 5}; !slices.Equal(got, want) {
+			t.Fatalf("stripe %v, want %v", got, want)
+		}
+		sys.CrashStorage(4)
+		before := sys.StripeMembers()
+		if err := sys.RecoverStorage(p, 4, -1); !errors.Is(err, ErrNoSpare) {
+			t.Fatalf("third rebuild with two spares: err %v, want ErrNoSpare", err)
+		}
+		if got := sys.StripeMembers(); !slices.Equal(got, before) {
+			t.Fatalf("refused rebuild changed the stripe: %v → %v", before, got)
+		}
+		got, err := sys.Client(5).Read(p, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("read after the rebuilds returned wrong data")
+		}
+	})
 }
 
 func TestCooperativeCachingServesFromPeer(t *testing.T) {
