@@ -223,17 +223,18 @@ func (s *Server) Handler() http.Handler {
 		w.Write(buf.Bytes()) //nolint:errcheck
 	})
 	mux.HandleFunc("GET /v1/spans", func(w http.ResponseWriter, r *http.Request) {
-		after := 0
+		var after obs.SpanID
 		if v := r.URL.Query().Get("after"); v != "" {
-			n, err := strconv.Atoi(v)
+			// Span ids are int32: a wider value is an error, not a wrap.
+			n, err := strconv.ParseInt(v, 10, 32)
 			if err != nil {
 				httpError(w, http.StatusBadRequest, err)
 				return
 			}
-			after = n
+			after = obs.SpanID(n)
 		}
 		var spans []obs.Span
-		s.reply(w, func() { spans = s.cp.SpansSince(obs.SpanID(after)) },
+		s.reply(w, func() { spans = s.cp.SpansSince(after) },
 			func() any {
 				if spans == nil {
 					return []obs.Span{}

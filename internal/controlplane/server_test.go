@@ -171,6 +171,18 @@ func TestServeRoundTrip(t *testing.T) {
 	if _, err := c.Spans(obs.SpanID(last)); err != nil {
 		t.Fatalf("incremental Spans: %v", err)
 	}
+	// after= must fit a span id: out-of-range values are a 400, not a
+	// wrap to 0 or below that streams every span again.
+	for _, v := range []string{"4294967296", "2147483648", "-2147483649", "x"} {
+		resp, err := c.HTTP.Get(c.Base + "/v1/spans?after=" + v)
+		if err != nil {
+			t.Fatalf("GET spans?after=%s: %v", v, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET spans?after=%s: status %d, want 400", v, resp.StatusCode)
+		}
+	}
 
 	// Remediation toggle round-trips.
 	if err := c.Remediate(true); err != nil {

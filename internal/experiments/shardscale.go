@@ -54,9 +54,9 @@ func DefaultShardedTrafficConfig(nodes, workers int, seed int64) ShardedTrafficC
 	}
 }
 
-// ShardedTrafficResult is one run's outcome. Every field except Wall and
-// EventsPerSec is deterministic (a pure function of the config minus
-// Workers).
+// ShardedTrafficResult is one run's outcome. Wall, EventsPerSec and
+// Stalls describe the host execution; every other field is
+// deterministic (a pure function of the config minus Workers).
 type ShardedTrafficResult struct {
 	Nodes, Parts, Workers int
 	MakespanUs            float64 // virtual time when the last rank finished
@@ -67,6 +67,10 @@ type ShardedTrafficResult struct {
 	Drops                 int64   // fabric drops (must stay 0 on a healthy fabric)
 	Wall                  time.Duration
 	EventsPerSec          float64
+	// Stalls is the engine's count of window-barrier waits that parked
+	// (sim.ShardedStats.Stalls): an execution tally like Wall, so it is
+	// never reported or written into a registry.
+	Stalls int64
 }
 
 // ShardedTraffic runs one sharded cluster workload and returns the
@@ -204,6 +208,7 @@ func ShardedTraffic(cfg ShardedTrafficConfig) (ShardedTrafficResult, *obs.Regist
 		res.BarrierUs = barrierEnd.Microseconds() / float64(cfg.Barriers)
 	}
 	st := se.Stats()
+	res.Stalls = st.Stalls
 	for _, pp := range st.PerPart {
 		res.Events += int64(pp.Events)
 	}

@@ -32,7 +32,7 @@ func TestShardedTrafficDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		// Blank the wall-clock fields; everything else must match.
-		res.Wall, res.EventsPerSec, res.Workers = 0, 0, 0
+		res.Wall, res.EventsPerSec, res.Workers, res.Stalls = 0, 0, 0, 0
 		return res, snapshotJSON(t, reg)
 	}
 	baseRes, baseSnap := run(1)

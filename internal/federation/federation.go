@@ -147,13 +147,6 @@ func New(cfg Config) (*Federation, error) {
 	})
 	f := &Federation{cfg: cfg, se: se, clusters: make([]*Cluster, n), blkBytes: make([]int, n)}
 	f.fabric = newWANFabric(se, cfg.WAN, n)
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s != d {
-				se.SetLookahead(s, d, f.fabric.links[s][d].Latency)
-			}
-		}
-	}
 
 	for i, cc := range cfg.Clusters {
 		c := &Cluster{fed: f, id: i, name: cc.Name, eng: se.Engine(i), reg: obs.NewRegistry()}

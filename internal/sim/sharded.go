@@ -14,8 +14,8 @@ import (
 // fixed windows of width W, where W is the minimum cross-partition
 // message latency (for a netsim fabric, the wire latency — see
 // netsim.NewSharded). A message sent while executing window k arrives no
-// earlier than the start of window k+1, so a partition may execute
-// window k as soon as every peer has finished window k-1; no rollback is
+// earlier than the start of window k+1, so every partition may execute
+// window k once all of them have finished window k-1; no rollback is
 // ever needed.
 //
 // Determinism is the design center, and it comes from a deliberate
@@ -31,13 +31,13 @@ import (
 // detector certify the memory model separately from the golden tests
 // certifying the schedule.
 //
-// Horizon exchange is barrier-free: each partition publishes its horizon
-// (the end of its last finished window) in an atomic, and peers spin on
-// a cheap gate — blocking on a capacity-1 wake channel when the horizon
-// is not yet reached — rather than rendezvousing at a central barrier.
-// On dense topologies this degenerates to lockstep, which is exactly the
-// conservative bound; on sparse lookahead matrices partitions slide past
-// each other up to the pairwise latency.
+// Coordination is one combining barrier per window, reached after the
+// window has run. Each partition reports the earliest virtual time at
+// which it has work pending and whether it stopped; the last to arrive
+// min-reduces the reports and decides for everyone: stop, step to the
+// next window, end the run, or jump straight to the window holding the
+// earliest pending work, so an idle stretch costs one barrier however
+// many windows it spans.
 
 // ShardedConfig configures a ShardedEngine.
 type ShardedConfig struct {
@@ -87,15 +87,6 @@ type shardPart struct {
 	id  int
 	eng *Engine
 
-	// horizon is the partition's published progress: the start of the
-	// window it will execute next (equivalently, the end of the last
-	// finished one). Peers gate on it.
-	horizon atomic.Int64
-	// wake is pinged (non-blocking, capacity 1) whenever a peer
-	// publishes a new horizon or hands over a message, so gate waits
-	// park instead of spinning.
-	wake chan struct{}
-
 	// in[src] is the mailbox for messages from partition src.
 	in []shardMailbox
 	// staged holds drained-but-not-yet-due messages, sorted on demand.
@@ -105,14 +96,13 @@ type shardPart struct {
 
 	deliver func(ShardMsg)
 
-	next Time // start of the next window to execute
-
 	// Deterministic tallies (read after Run or from Observe samplers on
 	// the coordinating goroutine).
 	sent, recv              int64
 	windowsRun, windowsIdle int64
-	// stalls counts gate waits that actually parked. Wall-clock timing
-	// dependent — exported via Stats only, never into a registry.
+	// stalls counts barrier waits that parked. Which partition arrives
+	// last depends on wall-clock timing — exported via Stats only,
+	// never into a registry.
 	stalls int64
 
 	err error
@@ -124,35 +114,25 @@ type shardPart struct {
 type ShardedEngine struct {
 	cfg   ShardedConfig
 	parts []*shardPart
-	// look[q][p] is how far ahead of partition p's window start
-	// partition q must have published for p to proceed: p may run
-	// window [s, s+W) once horizon(q) >= s+W-look[q][p]. Uniform W by
-	// default; SetLookahead widens individual pairs.
-	look [][]Duration
 
 	sem chan struct{} // worker tokens; nil when fully parallel
 
-	// stopAt is the start of the earliest window in which any partition
-	// stopped (Engine.Stop/Fail inside an event, or a RunUntil error).
-	// Peers refuse to *begin* any later window, so every partition
-	// deterministically finishes exactly the stopping window and no
-	// more. MaxTime while running.
-	stopAt atomic.Int64
-	// doneFlag is set once the idle vote (below) succeeds or an external
-	// Stop aborts the run.
-	doneFlag atomic.Bool
-	extStop  atomic.Bool
+	// The window barrier. arrived counts partitions that finished the
+	// current window; pending and stopped combine their reports. The
+	// last arrival writes the decision (next, skip, end), bumps gen and
+	// wakes the rest, who read it before anyone can reach the next
+	// barrier.
+	mu      sync.Mutex
+	cond    sync.Cond
+	arrived int
+	pending Time
+	stopped bool
+	gen     uint64
+	next    Time  // start of the next window to execute
+	skip    int64 // empty windows jumped over on the way to next
+	end     bool
 
-	// Idle vote: a partition that begins window s with no live events,
-	// no staged messages, and empty mailboxes votes for s. The horizon
-	// gates guarantee all votes for window s land before any vote for
-	// s+1, so n votes for one window mean the whole simulation was
-	// simultaneously empty at its start — with inflight (sends not yet
-	// drained) zero, nothing can ever wake it again.
-	idleMu   sync.Mutex
-	voteW    Time
-	voteN    int
-	inflight atomic.Int64
+	extStop atomic.Bool
 
 	wg      sync.WaitGroup
 	started bool
@@ -181,19 +161,14 @@ func NewShardedEngine(cfg ShardedConfig) *ShardedEngine {
 	if cfg.Workers <= 0 || cfg.Workers > cfg.Parts {
 		cfg.Workers = cfg.Parts
 	}
-	s := &ShardedEngine{cfg: cfg}
+	s := &ShardedEngine{cfg: cfg, pending: MaxTime}
+	s.cond.L = &s.mu
 	s.parts = make([]*shardPart, cfg.Parts)
-	s.look = make([][]Duration, cfg.Parts)
 	for i := range s.parts {
 		s.parts[i] = &shardPart{
-			id:   i,
-			eng:  NewEngine(splitSeed(cfg.Seed, i)),
-			wake: make(chan struct{}, 1),
-			in:   make([]shardMailbox, cfg.Parts),
-		}
-		s.look[i] = make([]Duration, cfg.Parts)
-		for j := range s.look[i] {
-			s.look[i][j] = cfg.Window
+			id:  i,
+			eng: NewEngine(splitSeed(cfg.Seed, i)),
+			in:  make([]shardMailbox, cfg.Parts),
 		}
 	}
 	if cfg.Workers < cfg.Parts {
@@ -202,8 +177,6 @@ func NewShardedEngine(cfg ShardedConfig) *ShardedEngine {
 			s.sem <- struct{}{}
 		}
 	}
-	s.stopAt.Store(int64(MaxTime))
-	s.voteW = -1
 	return s
 }
 
@@ -227,110 +200,44 @@ func (s *ShardedEngine) Engine(p int) *Engine { return s.parts[p].eng }
 // be set before Run for any partition that can receive messages.
 func (s *ShardedEngine) OnDeliver(p int, fn func(ShardMsg)) { s.parts[p].deliver = fn }
 
-// SetLookahead declares that messages from partition src to partition
-// dst arrive at least d after the send. d below the global window is
-// ignored (the window is already the conservative floor); larger d lets
-// dst run further ahead of src. Call before Run.
-func (s *ShardedEngine) SetLookahead(src, dst int, d Duration) {
-	if d > s.look[src][dst] {
-		s.look[src][dst] = d
-	}
-}
-
 // Send hands a message to partition dst, to be injected at virtual time
 // at. It must be called from code executing on partition src (inside an
 // event or process of src's engine). at must respect the lookahead:
-// at >= the end of src's current window.
+// at >= src's clock + the window.
 func (s *ShardedEngine) Send(src, dst int, at Time, data any) {
 	p := s.parts[src]
-	if at < p.eng.now+s.look[src][dst] {
+	if at < p.eng.now+s.cfg.Window {
 		panic(fmt.Sprintf("sim: cross-shard send %d->%d at %v violates lookahead (now %v + %v)",
-			src, dst, at, p.eng.now, s.look[src][dst]))
+			src, dst, at, p.eng.now, s.cfg.Window))
 	}
 	p.sendSeq++
 	m := ShardMsg{At: at, Src: src, Seq: p.sendSeq, Data: data}
 	p.sent++
-	s.inflight.Add(1)
-	d := s.parts[dst]
-	mb := &d.in[src]
+	mb := &s.parts[dst].in[src]
 	mb.mu.Lock()
 	mb.buf = append(mb.buf, m)
 	mb.mu.Unlock()
-	ping(d.wake)
 }
 
-func ping(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
-	}
-}
-
-func (s *ShardedEngine) pingAll(except int) {
-	for _, p := range s.parts {
-		if p.id != except {
-			ping(p.wake)
-		}
-	}
-}
-
-// drain moves every queued inbound message into p.staged. Returns the
-// number drained.
-func (s *ShardedEngine) drain(p *shardPart) int {
-	n := 0
+// drain moves every queued inbound message into p.staged.
+func (p *shardPart) drain() {
 	for src := range p.in {
 		mb := &p.in[src]
 		mb.mu.Lock()
 		buf := mb.buf
 		mb.buf = nil
 		mb.mu.Unlock()
-		if len(buf) > 0 {
-			p.staged = append(p.staged, buf...)
-			n += len(buf)
-		}
+		p.staged = append(p.staged, buf...)
 	}
-	if n > 0 {
-		s.inflight.Add(int64(-n))
-	}
-	return n
-}
-
-func (p *shardPart) inboxesEmpty() bool {
-	for src := range p.in {
-		mb := &p.in[src]
-		mb.mu.Lock()
-		empty := len(mb.buf) == 0
-		mb.mu.Unlock()
-		if !empty {
-			return false
-		}
-	}
-	return true
-}
-
-// noteStop records that partition p stopped while executing the window
-// starting at wStart: peers must not begin any window after wStart.
-func (s *ShardedEngine) noteStop(wStart Time) {
-	for {
-		cur := s.stopAt.Load()
-		if int64(wStart) >= cur || s.stopAt.CompareAndSwap(cur, int64(wStart)) {
-			break
-		}
-	}
-	s.pingAll(-1)
 }
 
 // Stop aborts the run from outside the simulation (e.g. a wall-clock
-// watchdog). Unlike Engine.Stop from within an event — which is
-// deterministic, because peers finish exactly the stopping window — an
-// external Stop cuts in at an arbitrary wall-clock moment and the final
-// state depends on how far each partition got. Use it only on abort
-// paths that discard results.
-func (s *ShardedEngine) Stop() {
-	s.extStop.Store(true)
-	s.doneFlag.Store(true)
-	s.pingAll(-1)
-}
+// watchdog): the run ends at the next window barrier. Unlike Engine.Stop
+// from within an event — which is deterministic, because every partition
+// finishes exactly the stopping window — an external Stop cuts in at an
+// arbitrary wall-clock moment and the final state depends on which
+// window was running. Use it only on abort paths that discard results.
+func (s *ShardedEngine) Stop() { s.extStop.Store(true) }
 
 func (s *ShardedEngine) acquire() {
 	if s.sem != nil {
@@ -342,23 +249,6 @@ func (s *ShardedEngine) release() {
 	if s.sem != nil {
 		s.sem <- struct{}{}
 	}
-}
-
-// voteIdle records that partition p found nothing to do at the window
-// starting at w. Reports whether the whole simulation is now known idle.
-func (s *ShardedEngine) voteIdle(w Time) bool {
-	s.idleMu.Lock()
-	defer s.idleMu.Unlock()
-	if w > s.voteW {
-		s.voteW, s.voteN = w, 0
-	}
-	if w == s.voteW {
-		s.voteN++
-		if s.voteN == len(s.parts) && s.inflight.Load() == 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Run drives every partition until the whole simulation drains, any
@@ -373,11 +263,13 @@ func (s *ShardedEngine) Run(limit Time) error {
 		return errors.New("sim: ShardedEngine already closed")
 	}
 	s.started = true
-	s.wg.Add(len(s.parts))
-	for _, p := range s.parts {
-		go s.runPart(p, limit)
+	if limit >= 0 {
+		s.wg.Add(len(s.parts))
+		for _, p := range s.parts {
+			go s.runPart(p, limit)
+		}
+		s.wg.Wait()
 	}
-	s.wg.Wait()
 	// Failure beats stop beats success, and lower partition ids beat
 	// higher, so the reported error is deterministic.
 	var stopped bool
@@ -397,27 +289,12 @@ func (s *ShardedEngine) Run(limit Time) error {
 	return nil
 }
 
-// runPart is one partition's driver loop. Each iteration handles the
-// window [p.next, p.next+W): wait for peer horizons, drain and inject
-// due messages, run the engine to the window end (skipping the run
-// entirely when the window is empty — this also keeps the engine clock
-// from advancing through idle windows, which would leak the run's
-// wall-clock-dependent shutdown point into sim.time.now.ns), then
-// publish the new horizon.
+// runPart is one partition's driver loop: run a window, meet the others
+// at the barrier, and go where the barrier says.
 func (s *ShardedEngine) runPart(p *shardPart, limit Time) {
-	defer func() {
-		// Release peers blocked on our horizon whatever the exit path.
-		p.horizon.Store(int64(MaxTime))
-		s.pingAll(p.id)
-		s.wg.Done()
-	}()
-	W := s.cfg.Window
-	for {
-		wStart := p.next
-		if wStart > limit || s.doneFlag.Load() || Time(s.stopAt.Load()) < wStart {
-			return
-		}
-		wEnd := wStart + W
+	defer s.wg.Done()
+	for wStart := Time(0); ; {
+		wEnd := wStart + s.cfg.Window
 		if wEnd < wStart || wEnd > limit {
 			// Overflow or final partial window: clamp to the limit.
 			wEnd = limit
@@ -426,100 +303,117 @@ func (s *ShardedEngine) runPart(p *shardPart, limit Time) {
 			}
 			wEnd++
 		}
-		// Gate: peer q must have published through wEnd - look[q][p]
-		// before we may execute [wStart, wEnd).
-		for q, qp := range s.parts {
-			if q == p.id {
-				continue
-			}
-			need := wEnd - s.look[q][p.id]
-			if need <= 0 {
-				continue
-			}
-			first := true
-			for Time(qp.horizon.Load()) < need {
-				if s.doneFlag.Load() || Time(s.stopAt.Load()) < wStart {
-					return
-				}
-				if first {
-					p.stalls++
-					first = false
-				}
-				<-p.wake
-			}
-		}
-		if s.doneFlag.Load() || Time(s.stopAt.Load()) < wStart {
+		pending := s.runWindow(p, wEnd)
+		next, skip, end := s.arrive(p, pending, wEnd, limit)
+		p.windowsIdle += skip
+		if end {
 			return
 		}
-		// Inject messages due this window, in (At, Src, Seq) order.
-		s.drain(p)
-		injected := false
-		if len(p.staged) > 0 {
-			sort.Slice(p.staged, func(i, j int) bool {
-				a, b := p.staged[i], p.staged[j]
-				if a.At != b.At {
-					return a.At < b.At
-				}
-				if a.Src != b.Src {
-					return a.Src < b.Src
-				}
-				return a.Seq < b.Seq
-			})
-			k := 0
-			for k < len(p.staged) && p.staged[k].At < wEnd {
-				k++
-			}
-			if k > 0 {
-				for i := 0; i < k; i++ {
-					m := p.staged[i]
-					p.recv++
-					if p.deliver == nil {
-						p.err = fmt.Errorf("sim: partition %d received a cross-shard message with no OnDeliver handler", p.id)
-						s.noteStop(wStart)
-						return
-					}
-					p.deliver(m)
-				}
-				p.staged = append(p.staged[:0], p.staged[k:]...)
-				injected = true
-			}
-		}
-		switch {
-		case p.eng.NextLive() < wEnd:
-			s.acquire()
-			err := p.eng.RunUntil(wEnd - 1)
-			s.release()
-			p.windowsRun++
-			if err != nil {
-				p.err = err
-				s.noteStop(wStart)
-				return
-			}
-		case !injected && len(p.staged) == 0 && p.inboxesEmpty() &&
-			p.eng.NextLive() == MaxTime:
-			// Nothing live anywhere in this partition — not now, not in
-			// any future window. Vote; if every partition is idle at this
-			// same window with no message in flight, the simulation is
-			// over. A finite NextLive beyond this window falls through to
-			// the default branch instead: future work is still work. The
-			// idle tally is bumped before the vote so the (wall-clock-
-			// arbitrary) partition that happens to cast the winning vote
-			// counts this window exactly like its peers do.
-			p.windowsIdle++
-			if s.voteIdle(wStart) {
-				s.doneFlag.Store(true)
-				s.pingAll(p.id)
-				return
-			}
-		default:
-			// Future work only (staged messages or events beyond this
-			// window): the window itself is empty, skip the engine run.
-			p.windowsIdle++
-		}
-		p.next = wEnd
-		p.horizon.Store(int64(wEnd))
-		s.pingAll(p.id)
+		wStart = next
 	}
+}
+
+// runWindow executes partition p's share of the window ending at wEnd:
+// drain and inject the messages due, then run the engine to the window
+// end, skipping the run entirely when nothing is due — this also keeps
+// the engine clock from advancing through idle windows. It returns the
+// earliest virtual time at which p has work pending: wEnd when p ran or
+// injected anything this window (its sends and deliveries may be due
+// next window), else its next live event or staged message, MaxTime for
+// none.
+func (s *ShardedEngine) runWindow(p *shardPart, wEnd Time) Time {
+	// Inject messages due this window, in (At, Src, Seq) order.
+	p.drain()
+	injected := false
+	if len(p.staged) > 0 {
+		sort.Slice(p.staged, func(i, j int) bool {
+			a, b := p.staged[i], p.staged[j]
+			if a.At != b.At {
+				return a.At < b.At
+			}
+			if a.Src != b.Src {
+				return a.Src < b.Src
+			}
+			return a.Seq < b.Seq
+		})
+		k := 0
+		for k < len(p.staged) && p.staged[k].At < wEnd {
+			k++
+		}
+		for i := 0; i < k; i++ {
+			p.recv++
+			if p.deliver == nil {
+				p.err = fmt.Errorf("sim: partition %d received a cross-shard message with no OnDeliver handler", p.id)
+				return wEnd
+			}
+			p.deliver(p.staged[i])
+		}
+		p.staged = append(p.staged[:0], p.staged[k:]...)
+		injected = k > 0
+	}
+	next := p.eng.NextLive()
+	if next < wEnd {
+		s.acquire()
+		p.err = p.eng.RunUntil(wEnd - 1)
+		s.release()
+		p.windowsRun++
+		return wEnd
+	}
+	p.windowsIdle++
+	if injected {
+		return wEnd
+	}
+	if len(p.staged) > 0 && p.staged[0].At < next {
+		next = p.staged[0].At
+	}
+	return next
+}
+
+// arrive is the window barrier. Partition p reports its earliest pending
+// work for the window ending at wEnd; the last partition to arrive
+// decides for everyone, and every caller returns that decision: the
+// start of the next window, the empty windows skipped on the way there,
+// and whether the run is over.
+func (s *ShardedEngine) arrive(p *shardPart, pending, wEnd, limit Time) (next Time, skip int64, end bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.pending = min(s.pending, pending)
+	s.stopped = s.stopped || p.err != nil
+	s.arrived++
+	if s.arrived < len(s.parts) {
+		p.stalls++
+		for gen := s.gen; gen == s.gen; {
+			s.cond.Wait()
+		}
+		return s.next, s.skip, s.end
+	}
+	s.decide(wEnd, limit)
+	s.arrived, s.pending, s.stopped = 0, MaxTime, false
+	s.gen++
+	s.cond.Broadcast()
+	return s.next, s.skip, s.end
+}
+
+// decide turns the combined reports for the window ending at wEnd into
+// the barrier's decision. Windows start at multiples of W, so the window
+// holding the earliest pending work t starts at t - t%W; every window
+// jumped over is one every partition would have found empty, and is
+// counted idle so sim.shard.windows.idle does not depend on the jump.
+func (s *ShardedEngine) decide(wEnd, limit Time) {
+	W := s.cfg.Window
+	s.skip = 0
+	s.end = s.stopped || s.extStop.Load() || s.pending == MaxTime || wEnd > limit
+	if s.end {
+		return
+	}
+	s.next = max(wEnd, s.pending-s.pending%W)
+	if s.next > limit {
+		// Nothing is due by the limit: the windows left are all empty.
+		s.skip = int64((limit-limit%W-wEnd)/W) + 1
+		s.end = true
+		return
+	}
+	s.skip = int64((s.next - wEnd) / W)
 }
 
 // Close tears down every partition engine (ascending partition id, so
@@ -545,9 +439,10 @@ type ShardPartStats struct {
 }
 
 // ShardedStats is a post-Run snapshot. Everything except Stalls is a
-// pure function of seed and workload; Stalls counts gate waits that
-// parked, which depends on wall-clock interleaving and must never be
-// written into a metrics registry (registries are golden-gated).
+// pure function of seed and workload; Stalls counts barrier waits that
+// parked (every arrival but each window's last). It describes the
+// execution, not the workload, and must never be written into a
+// metrics registry (registries are golden-gated).
 type ShardedStats struct {
 	Parts, Workers int
 	Window         Duration

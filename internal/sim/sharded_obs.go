@@ -10,8 +10,8 @@ import (
 // registered here is a pure function of seed and workload — per-PARTITION
 // tallies keyed p0..pN, never per-worker — so the export is byte-identical
 // across Workers settings and safe for the golden determinism gates.
-// Deliberately absent: the worker count, and the horizon-stall tally
-// (both wall-clock artifacts; read them from Stats instead).
+// Deliberately absent: the worker count, and the barrier-stall tally
+// (both execution artifacts; read them from Stats instead).
 //
 // Metrics (names per docs/OBSERVABILITY.md):
 //
@@ -23,7 +23,8 @@ import (
 //	sim.shard.msgs.sent.total  sum over partitions
 //	sim.shard.msgs.recv.total  sum over partitions
 //	sim.shard.windows.run      windows that executed events (all parts)
-//	sim.shard.windows.idle     windows skipped as empty (all parts)
+//	sim.shard.windows.idle     windows skipped as empty, jumped-over
+//	                           idle stretches included (all parts)
 //
 // The samplers read partition state, so Snapshot may only run while the
 // simulation is quiescent: before Run, or after Run has returned.

@@ -109,8 +109,8 @@ func TestShardedDeterminismAcrossWorkers(t *testing.T) {
 
 // TestShardedStopMidDrain pins the Engine.Stop-under-sharding semantics:
 // a Stop fired inside one partition's event stream quiesces every peer
-// without deadlocking the horizon gates, peers finish exactly the
-// stopping window, and the final state is identical at any worker count.
+// at the window barrier, peers finish exactly the stopping window, and
+// the final state is identical at any worker count.
 func TestShardedStopMidDrain(t *testing.T) {
 	// 23µs is mid-window (W=5µs) while ring traffic is still in flight,
 	// so peers have staged and in-flight messages when the stop lands.
@@ -171,8 +171,8 @@ func TestShardedExternalStop(t *testing.T) {
 }
 
 // TestShardedIdleTermination: a workload that goes fully quiet must end
-// the run via the idle vote, not hang in empty windows, even when
-// cancelled timers still sit in the queues.
+// the run at the first barrier that finds nothing pending, not hang in
+// empty windows, even when cancelled timers still sit in the queues.
 func TestShardedIdleTermination(t *testing.T) {
 	const W = 5 * Microsecond
 	s := NewShardedEngine(ShardedConfig{Parts: 3, Workers: 3, Seed: 9, Window: W})
@@ -205,6 +205,88 @@ func TestShardedIdleTermination(t *testing.T) {
 	for i, pp := range st.PerPart {
 		if pp.Now > 30*Microsecond {
 			t.Errorf("partition %d clock ran to %v; cancelled timers not pruned from idle detection", i, pp.Now)
+		}
+	}
+}
+
+// runGap runs a 2-partition workload whose only live work after a short
+// burst is one event gap later: at 0 partition 0 sends to partition 1
+// (due at W), partition 1 replies (due at 2W), and partition 0 has one
+// more event at gap. Partition 1 also arms and cancels a long timer, the
+// AM completion-guard pattern. gap must be a multiple of W, >= 4W. The
+// run ends at limit.
+func runGap(t *testing.T, gap Duration, limit Time) ShardedStats {
+	t.Helper()
+	const W = 5 * Microsecond
+	s := NewShardedEngine(ShardedConfig{Parts: 2, Seed: 3, Window: W})
+	defer s.Close()
+	e0, e1 := s.Engine(0), s.Engine(1)
+	s.OnDeliver(0, func(m ShardMsg) { e0.AtArg(m.At, func(any) {}, nil) })
+	s.OnDeliver(1, func(m ShardMsg) {
+		e1.AtArg(m.At, func(any) {
+			e1.After(10*Second, func() {}).Stop()
+			s.Send(1, 0, e1.Now()+W, nil)
+		}, nil)
+	})
+	e0.At(0, func() { s.Send(0, 1, W, nil) })
+	e0.At(gap, func() {})
+	errc := make(chan error, 1)
+	go func() { errc <- s.Run(limit) }()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Stats()
+	case <-time.After(30 * time.Second):
+		s.Stop()
+		<-errc
+		t.Fatalf("run with a %v idle stretch did not finish in 30s", gap)
+		return ShardedStats{}
+	}
+}
+
+// TestShardedJumpsIdleStretch: an idle stretch costs one barrier, not
+// one per window, yet counts every window it spans. With W = 5µs and
+// G = gap/W, the windows are 0..G+1. Partition 0 runs windows 0 (send),
+// 2 (reply) and G (the late event); partition 1 runs window 1; window
+// G+1 finds nothing pending and ends the run. Every other window is
+// idle: G-1 on partition 0 and G+1 on partition 1.
+func TestShardedJumpsIdleStretch(t *testing.T) {
+	const W = 5 * Microsecond
+	// The 1s-gap stats of stepping every window one by one: jumping
+	// must not change any of them.
+	const stepped = "{Parts:2 Workers:0 Window:5µs Sent:2 Recv:2 WindowsRun:4 WindowsIdle:400000 Stalls:0 " +
+		"PerPart:[{Events:3 Sent:1 Recv:1 WindowsRun:3 WindowsIdle:199999 Now:1s} " +
+		"{Events:2 Sent:1 Recv:1 WindowsRun:1 WindowsIdle:200001 Now:9.999µs}]}"
+	for _, gap := range []Duration{Hour, Second} {
+		st := runGap(t, gap, MaxTime)
+		g := int64(gap / W)
+		for i, want := range []struct{ run, idle int64 }{{3, g - 1}, {1, g + 1}} {
+			pp := st.PerPart[i]
+			if pp.WindowsRun != want.run || pp.WindowsIdle != want.idle {
+				t.Errorf("gap %v partition %d: windows run/idle %d/%d, want %d/%d",
+					gap, i, pp.WindowsRun, pp.WindowsIdle, want.run, want.idle)
+			}
+		}
+		if st.PerPart[0].Now != gap {
+			t.Errorf("gap %v: partition 0 clock %v, want %v", gap, st.PerPart[0].Now, gap)
+		}
+		if got := statsKey(st); gap == Second && got != stepped {
+			t.Errorf("1s gap stats differ from window-by-window stepping:\n got %s\nwant %s", got, stepped)
+		}
+	}
+	// A limit inside the stretch: the windows up to it (0..L/W, with
+	// L = limit - limit%W, the last one cut short) are still counted,
+	// and the late event never runs.
+	limit := 500*Millisecond + 2*Microsecond
+	st := runGap(t, Second, limit)
+	l := int64((limit - limit%W) / W)
+	for i, want := range []struct{ run, idle int64 }{{2, l - 1}, {1, l}} {
+		pp := st.PerPart[i]
+		if pp.WindowsRun != want.run || pp.WindowsIdle != want.idle {
+			t.Errorf("limit %v partition %d: windows run/idle %d/%d, want %d/%d",
+				limit, i, pp.WindowsRun, pp.WindowsIdle, want.run, want.idle)
 		}
 	}
 }
